@@ -311,12 +311,17 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.b[self.i..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the run of plain bytes up to the next quote or
+                    // backslash in one go. Both are ASCII, so they never
+                    // fall inside a multi-byte character: the run of the
+                    // `&str` input is itself valid UTF-8.
+                    let start = self.i;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.i += 1;
+                    }
+                    let run =
+                        std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?;
+                    out.push_str(run);
                 }
             }
         }

@@ -11,7 +11,8 @@
 //! regime), which forces continuous dynamic load balancing — the
 //! property the paper's work-stealing study depends on.
 //!
-//! - [`sha1`] — SHA-1 (RFC 3174) verified against standard vectors;
+//! - [`sha1`] — SHA-1 (RFC 3174) verified against standard vectors,
+//!   with a scalar and an x86-64 SHA-NI backend chosen by CPU detection;
 //! - [`rng`] — the splittable per-node random state;
 //! - [`tree`] — node type and shape specifications;
 //! - [`presets`] — Table I trees plus scaled `T3SIM_*` analogues;

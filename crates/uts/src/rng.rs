@@ -11,8 +11,12 @@
 //! The paper's granularity experiment (Figure 16) varies "the number of
 //! SHA rounds to execute when creating a node"; [`RngState::spawn`]
 //! takes that count and chains extra digest rounds accordingly.
+//!
+//! Every message hashed here has a fixed length (4, 20 or 24 bytes), so
+//! each evaluation is one pre-padded block built straight from words and
+//! handed to the single-block compress; no streaming hasher is involved.
 
-use crate::sha1::{Digest, Sha1, DIGEST_LEN};
+use crate::sha1::{digest_block, words_to_digest, Backend, Digest, DIGEST_LEN, PAD_WORD};
 
 /// Mask selecting the non-negative 31-bit value UTS draws from a state.
 pub const POS_MASK: u32 = 0x7FFF_FFFF;
@@ -33,8 +37,13 @@ impl RngState {
     /// Root state for a tree seed, matching UTS `rng_init`: the digest
     /// of the 4-byte big-endian seed.
     pub fn from_seed(seed: i32) -> Self {
+        // The seed's 4 big-endian bytes: 32 bits.
+        let mut block = [0u32; 16];
+        block[0] = seed as u32;
+        block[1] = PAD_WORD;
+        block[15] = 32;
         Self {
-            bytes: Sha1::digest(&seed.to_be_bytes()),
+            bytes: words_to_digest(&digest_block(Backend::detect(), &block)),
         }
     }
 
@@ -60,15 +69,43 @@ impl RngState {
     /// # Panics
     /// Panics if `rounds == 0` — a node must be hashed at least once.
     pub fn spawn(&self, index: u32, rounds: u32) -> Self {
+        self.spawn_on(Backend::detect(), index, rounds)
+    }
+
+    /// [`RngState::spawn`] on a chosen SHA-1 backend.
+    #[doc(hidden)]
+    pub fn spawn_on(&self, backend: Backend, index: u32, rounds: u32) -> Self {
         assert!(rounds > 0, "node creation requires at least one SHA round");
-        let mut hasher = Sha1::new();
-        hasher.update(&self.bytes);
-        hasher.update(&index.to_be_bytes());
-        let mut digest = hasher.finalize();
+        let p = self.words();
+        // `parent_state ‖ index`: 24 bytes, 192 bits.
+        let mut h = digest_block(
+            backend,
+            &[
+                p[0], p[1], p[2], p[3], p[4], index, PAD_WORD, 0, 0, 0, 0, 0, 0, 0, 0, 192,
+            ],
+        );
         for _ in 1..rounds {
-            digest = Sha1::digest(&digest);
+            // The previous digest alone: 20 bytes, 160 bits.
+            h = digest_block(
+                backend,
+                &[
+                    h[0], h[1], h[2], h[3], h[4], PAD_WORD, 0, 0, 0, 0, 0, 0, 0, 0, 0, 160,
+                ],
+            );
         }
-        Self { bytes: digest }
+        Self {
+            bytes: words_to_digest(&h),
+        }
+    }
+
+    /// The state as five big-endian words.
+    #[inline]
+    fn words(&self) -> [u32; 5] {
+        let mut w = [0u32; 5];
+        for (word, chunk) in w.iter_mut().zip(self.bytes.chunks_exact(4)) {
+            *word = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+        }
+        w
     }
 
     /// The node's 31-bit non-negative random value, as UTS `rng_rand`:

@@ -1,9 +1,11 @@
 //! End-to-end checks of the observability subsystem: span/counter
 //! reconciliation, Chrome trace well-formedness, the machine-readable
-//! run report, and the zero-overhead guarantee when tracing is off.
+//! run report, the report parser's linear time and robustness, and the
+//! zero-overhead guarantee when tracing is off.
 
 use dws::core::{run_experiment, ExperimentConfig, StealAmount, VictimPolicy};
 use dws::metrics::export::parse;
+use dws::metrics::JsonValue;
 use dws::simnet::{Crash, FaultPlan};
 use dws::uts::presets;
 
@@ -238,4 +240,71 @@ fn histograms_agree_with_counters() {
     assert_eq!(h.session_ns.count(), t.sessions);
     assert_eq!(h.session_ns.sum(), t.session_ns as u128);
     assert_eq!(h.msg_delivery_ns.count(), r.report.messages);
+}
+
+/// The parser runs in linear time on string-heavy documents: several MB
+/// of long strings (plain ASCII, multi-byte UTF-8 and escapes) parse
+/// well inside a loose debug-build bound, and round-trip exactly.
+#[test]
+fn parser_is_linear_on_string_heavy_documents() {
+    let plain = "steal_request rank=17 victim=42 ".repeat(40);
+    let mixed = "latence réseau — 遅延 😀 \"quoted\" \\ tab\t end\n".repeat(20);
+    let doc = JsonValue::Arr(
+        (0..4_000)
+            .map(|i| {
+                JsonValue::obj(vec![
+                    ("name", format!("{plain}{i}").into()),
+                    ("args", mixed.as_str().into()),
+                ])
+            })
+            .collect(),
+    );
+    let text = doc.to_string();
+    assert!(text.len() > 4_000_000, "document is {} bytes", text.len());
+    let start = std::time::Instant::now();
+    let back = parse(&text).expect("well-formed document");
+    let elapsed = start.elapsed();
+    assert_eq!(back, doc);
+    assert!(
+        elapsed.as_secs_f64() < 5.0,
+        "parsing {} bytes took {elapsed:?}",
+        text.len()
+    );
+}
+
+/// Every truncation of a well-formed document is rejected with an
+/// error, never a panic: cut inside a string run, an escape, a `\u`
+/// escape or surrogate pair, a number, a literal or between tokens.
+#[test]
+fn parser_rejects_every_truncation() {
+    let doc = JsonValue::obj(vec![
+        ("plain", "run of text".into()),
+        ("utf8", "é 遅延 😀".into()),
+        ("escapes", "q\"b\\n\nt\tc\u{1}".into()),
+        (
+            "nums",
+            JsonValue::Arr(vec![JsonValue::Num(-12.5e-3), 7u64.into()]),
+        ),
+        (
+            "lits",
+            JsonValue::Arr(vec![true.into(), false.into(), JsonValue::Null]),
+        ),
+        (
+            "nested",
+            JsonValue::obj(vec![("empty", JsonValue::Arr(vec![]))]),
+        ),
+    ]);
+    // The writer emits non-ASCII raw; add `\u` escapes and a surrogate
+    // pair by hand so truncations land inside them too.
+    let text = doc
+        .to_string()
+        .replacen('{', r#"{"u":"\u00e9\ud83d\ude00",  "#, 1);
+    assert!(parse(&text).is_ok(), "base document parses: {text}");
+    for cut in (0..text.len()).filter(|&n| text.is_char_boundary(n)) {
+        assert!(
+            parse(&text[..cut]).is_err(),
+            "prefix of {cut} bytes parsed: {:?}",
+            &text[..cut]
+        );
+    }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests over the core data structures and invariants:
 //! the alias sampler, the chunked steal stack, torus distances, SHA-1
-//! streaming, the occupancy metrics, and the termination protocol.
+//! streaming and backend equality, the occupancy metrics, and the
+//! termination protocol.
 //!
 //! Implemented as deterministic randomized loops driven by [`DetRng`]
 //! (the workspace is dependency-free, so no proptest): each property is
@@ -11,7 +12,8 @@ use dws::core::{AliasTable, ChunkedStack, TerminationState, Token, TokenAction};
 use dws::metrics::{ActivityTrace, OccupancyCurve};
 use dws::simnet::DetRng;
 use dws::topology::{coord::torus_delta, Machine, NodeId};
-use dws::uts::{sha1::Sha1, Node, RngState};
+use dws::uts::sha1::{digest_block, to_hex, words_to_digest, Backend, Block, Digest, Sha1};
+use dws::uts::{Node, RngState};
 
 /// Iterations per property. Each case derives everything from one seed.
 const CASES: u64 = 300;
@@ -201,6 +203,137 @@ fn sha1_streaming_equals_oneshot() {
             Sha1::digest(&data),
             "case {case}: split at {k} of {len}"
         );
+    }
+}
+
+/// Every SHA-1 backend usable on this CPU: the scalar one always, the
+/// SHA-NI one when detected. A host without SHA-NI says so on stderr
+/// (through `io::stderr` directly, which the test harness does not
+/// capture), so the skipped half never passes silently.
+fn sha1_backends() -> Vec<(&'static str, Backend)> {
+    let mut backends = vec![("scalar", Backend::SCALAR)];
+    match Backend::sha_ni() {
+        Some(b) => backends.push(("sha_ni", b)),
+        None => {
+            use std::io::Write;
+            let _ = writeln!(
+                std::io::stderr(),
+                "note: CPU has no SHA-NI; SHA-NI backend checks skipped"
+            );
+        }
+    }
+    backends
+}
+
+/// SHA-1 of `msg` (at most 55 bytes) through the fixed-layout
+/// single-block path: padded by hand, one compress, no `Sha1` buffer.
+fn single_block_digest(backend: Backend, msg: &[u8]) -> Digest {
+    assert!(msg.len() <= 55, "one block holds at most 55 message bytes");
+    let mut bytes = [0u8; 64];
+    bytes[..msg.len()].copy_from_slice(msg);
+    bytes[msg.len()] = 0x80;
+    bytes[56..].copy_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+    let mut block: Block = [0; 16];
+    for (word, chunk) in block.iter_mut().zip(bytes.chunks_exact(4)) {
+        *word = u32::from_be_bytes(chunk.try_into().unwrap());
+    }
+    words_to_digest(&digest_block(backend, &block))
+}
+
+/// The RFC 3174 §7.3 vectors through the incremental hasher on every
+/// backend, and the short ones through the single-block path too.
+#[test]
+fn sha1_backends_match_rfc3174_vectors() {
+    let million_a = vec![b'a'; 1_000_000];
+    let vectors: [(&[u8], &str); 5] = [
+        (b"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+        (b"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
+        ),
+        (
+            &b"0123456701234567012345670123456701234567012345670123456701234567".repeat(10),
+            "dea356a2cddd90c7a7ecedc5ebb563934f460452",
+        ),
+        (&million_a, "34aa973cd4c4daa4f61eeb2bdbad27316534016f"),
+    ];
+    for (name, backend) in sha1_backends() {
+        for (msg, want) in vectors {
+            let mut h = Sha1::new_on(backend);
+            h.update(msg);
+            assert_eq!(to_hex(&h.finalize()), want, "{name}: {} bytes", msg.len());
+            if msg.len() <= 55 {
+                let got = single_block_digest(backend, msg);
+                assert_eq!(
+                    to_hex(&got),
+                    want,
+                    "{name} single block: {} bytes",
+                    msg.len()
+                );
+            }
+        }
+    }
+}
+
+/// The single-block path agrees with the incremental hasher at the
+/// lengths the simulator hashes (4-byte seed, 20-byte re-hash, 24-byte
+/// spawn) and at the edges of one block (0 and 55 bytes).
+#[test]
+fn sha1_single_block_equals_incremental() {
+    let backends = sha1_backends();
+    for case in 0..CASES {
+        let mut rng = case_rng(8, case);
+        for len in [0usize, 4, 20, 24, 55] {
+            let msg: Vec<u8> = (0..len).map(|_| rng.next_below(256) as u8).collect();
+            let mut h = Sha1::new_on(Backend::SCALAR);
+            h.update(&msg);
+            let want = h.finalize();
+            for &(name, backend) in &backends {
+                let got = single_block_digest(backend, &msg);
+                assert_eq!(got, want, "case {case}: {name}, {len} bytes");
+            }
+        }
+    }
+}
+
+/// 100k chained spawns, `rounds` mixed over 1..=24 (the Figure 16
+/// range): the spawn on every backend, the detected-backend `spawn`, and
+/// the incremental `Sha1` reference (`parent ‖ index`, then re-hashing
+/// the digest) produce the same state at every step.
+#[test]
+fn spawn_backends_agree_on_chained_spawns() {
+    let backends = sha1_backends();
+    let mut rng = case_rng(9, 0);
+    for seed in [316, 559, -5, i32::MIN] {
+        let root = RngState::from_seed(seed);
+        assert_eq!(
+            root.bytes(),
+            &Sha1::digest(&seed.to_be_bytes()),
+            "seed {seed}"
+        );
+    }
+    let mut state = RngState::from_seed(316);
+    for step in 0..100_000u32 {
+        let index = rng.next_below(1 << 20) as u32;
+        let rounds = rng.next_range(1, 25) as u32;
+        let mut h = Sha1::new();
+        h.update(state.bytes());
+        h.update(&index.to_be_bytes());
+        let mut want = h.finalize();
+        for _ in 1..rounds {
+            want = Sha1::digest(&want);
+        }
+        let next = state.spawn(index, rounds);
+        assert_eq!(next.bytes(), &want, "step {step}: rounds {rounds}");
+        for &(name, backend) in &backends {
+            assert_eq!(
+                state.spawn_on(backend, index, rounds),
+                next,
+                "step {step}: {name}, rounds {rounds}"
+            );
+        }
+        state = next;
     }
 }
 
