@@ -10,13 +10,15 @@
 //! - the job must be torus-symmetric and take the shared-table path;
 //! - the run must complete (every surviving rank observes
 //!   termination);
-//! - wall clock must stay under [`WALL_BUDGET_S`].
+//! - wall clock must stay under [`WALL_BUDGET_S`];
+//! - peak RSS must stay under [`RSS_BUDGET_MB`].
 //!
 //! Results are emitted like any figure (`results/smoke_8192.csv`, plus
 //! a BenchRecord for the trajectory store via `--trajectory`).
 
 use dws_bench::{emit, f, run_logged_streamed, FigArgs};
 use dws_core::VictimPolicy;
+use dws_metrics::perflab;
 use dws_topology::{AllocationPolicy, Job, LatencyParams, Machine, RankMapping};
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,6 +32,11 @@ const RANKS: u32 = 8_192;
 /// per-rank tables (~8 GB of alias tables) or a super-linear hot-path
 /// regression trips it.
 const WALL_BUDGET_S: f64 = 300.0;
+
+/// Peak-RSS budget for the whole smoke run. The engine's per-pair FIFO
+/// map is pruned to in-flight messages, which keeps the run near 42 MB;
+/// letting that map grow toward ranks² again took it past 850 MB.
+const RSS_BUDGET_MB: f64 = 256.0;
 
 fn main() {
     let args = FigArgs::parse();
@@ -72,6 +79,15 @@ fn main() {
         "8,192-rank smoke took {wall_s:.0}s, budget is {WALL_BUDGET_S:.0}s — \
          hot-path regression"
     );
+    // VmHWM is Linux-only; elsewhere the RSS budget is not checked.
+    let peak_rss_mb = perflab::peak_rss_bytes().map(|b| b as f64 / (1024.0 * 1024.0));
+    if let Some(mb) = peak_rss_mb {
+        assert!(
+            mb < RSS_BUDGET_MB,
+            "8,192-rank smoke peaked at {mb:.0} MB RSS, budget is {RSS_BUDGET_MB:.0} MB — \
+             memory regression (is the engine's per-pair FIFO map growing toward ranks² again?)"
+        );
+    }
 
     let t = res.stats.total();
     emit(
@@ -85,6 +101,7 @@ fn main() {
             "events",
             "failed_steals",
             "wall_s",
+            "peak_rss_mb",
         ],
         &[vec![
             RANKS.to_string(),
@@ -93,6 +110,7 @@ fn main() {
             res.report.events.to_string(),
             t.steals_failed.to_string(),
             f(wall_s, 1),
+            peak_rss_mb.map_or_else(|| "NA".to_string(), |mb| f(mb, 1)),
         ]],
         None,
     );

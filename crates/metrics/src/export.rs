@@ -169,11 +169,19 @@ impl fmt::Display for JsonValue {
     }
 }
 
-/// Parse a JSON document. Returns the root value or a positioned error.
+/// Deepest array/object nesting [`parse`] accepts. Far above any
+/// document this workspace writes (reports nest a handful of levels);
+/// it bounds the parser's recursion so a hostile file cannot overflow
+/// the stack.
+pub const MAX_NESTING: usize = 128;
+
+/// Parse a JSON document. Returns the root value or a positioned error;
+/// nesting deeper than [`MAX_NESTING`] is an error.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         b: input.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -187,6 +195,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -224,12 +234,28 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(format!("unexpected '{}' at offset {}", c as char, self.i)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING} at offset {}",
+                self.i
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<JsonValue, String> {

@@ -85,6 +85,11 @@ impl Hasher for PairHasher {
 
 type PairMap<V> = HashMap<u64, V, BuildHasherDefault<PairHasher>>;
 
+/// Smallest FIFO-map length at which [`ShardCore::send`] prunes dead
+/// entries; the next prune waits until the map doubles past the
+/// survivors, so pruning costs amortised O(1) per send.
+const FIFO_PRUNE_FLOOR: usize = 256;
+
 /// Rank index of an actor (re-exported convention shared with
 /// `dws-topology`).
 pub type Rank = u32;
@@ -940,8 +945,16 @@ struct ShardCore<M> {
     /// first window); cross-shard sends assert they land at or past it.
     window_end: u64,
     /// Last scheduled delivery per (from, to) pair, to enforce MPI
-    /// non-overtaking. Only pairs with a local sender appear.
+    /// non-overtaking. Only pairs with a local sender appear, and after
+    /// each prune only pairs with a delivery at or after `now`: an entry
+    /// `last < now` can never bind again, because every later send's
+    /// natural arrival is at least `now` (latency is non-negative and
+    /// shard time only moves forward). The map is thus O(in-flight
+    /// messages), not O(ranks²).
     fifo: PairMap<SimTime>,
+    /// FIFO-map length at which the next prune runs: twice the previous
+    /// prune's survivors, never below [`FIFO_PRUNE_FLOOR`].
+    fifo_prune_at: usize,
     net: Box<dyn NetworkModel>,
     delivered: u64,
     timers: u64,
@@ -1125,6 +1138,11 @@ impl<M: Clone> ShardCore<M> {
             delay = (delay as f64 * stretch) as u64;
         }
         delay += spike_ns;
+        if self.fifo.len() >= self.fifo_prune_at {
+            let now = self.now;
+            self.fifo.retain(|_, last| *last >= now);
+            self.fifo_prune_at = (2 * self.fifo.len()).max(FIFO_PRUNE_FLOOR);
+        }
         let key = ((from as u64) << 32) | to as u64;
         let natural = self.now + extra_delay_ns + delay;
         let at = match self.fifo.get(&key) {
@@ -1882,6 +1900,7 @@ impl<A: Actor> Simulation<A> {
                 quiet_enabled: false,
                 window_end: 0,
                 fifo: PairMap::default(),
+                fifo_prune_at: FIFO_PRUNE_FLOOR,
                 net,
                 delivered: 0,
                 timers: 0,
@@ -2027,6 +2046,7 @@ impl<A: Actor> Simulation<A> {
                     quiet_enabled: true,
                     window_end: 0,
                     fifo: PairMap::default(),
+                    fifo_prune_at: FIFO_PRUNE_FLOOR,
                     net,
                     delivered: 0,
                     timers: 0,
@@ -3085,6 +3105,116 @@ mod tests {
         let mut sim = Simulation::new(actors, lat, SimConfig::default());
         sim.run();
         assert_eq!(sim.actor(1).got, vec![1, 2], "messages must not overtake");
+    }
+
+    /// Every `PRUNE_PERIOD_NS` each rank sends a large then a small
+    /// message to the next destination in its rotation, so a long run
+    /// touches every (from, to) pair many times while only a few
+    /// messages per rank are in flight. Messages carry per-pair
+    /// sequence numbers; the probe also samples the shard's FIFO map
+    /// around every send.
+    struct PruneProbe {
+        ticks_left: u32,
+        /// Next sequence number per destination.
+        next_seq: Vec<u32>,
+        /// Next expected sequence number per sender.
+        expect: Vec<u32>,
+        out_of_order: u32,
+        peak_map: usize,
+        peak_in_flight: u64,
+        /// Sends during which the map shrank, i.e. a prune fired.
+        prunes: u32,
+    }
+
+    const PRUNE_PERIOD_NS: u64 = 1_000;
+
+    impl PruneProbe {
+        fn fleet(n: u32, ticks: u32) -> Vec<Self> {
+            (0..n)
+                .map(|_| PruneProbe {
+                    ticks_left: ticks,
+                    next_seq: vec![0; n as usize],
+                    expect: vec![0; n as usize],
+                    out_of_order: 0,
+                    peak_map: 0,
+                    peak_in_flight: 0,
+                    prunes: 0,
+                })
+                .collect()
+        }
+
+        fn send_seq(&mut self, ctx: &mut Ctx<'_, u32>, to: Rank, bytes: usize) {
+            let seq = self.next_seq[to as usize];
+            self.next_seq[to as usize] += 1;
+            let before = ctx.core.fifo.len();
+            ctx.send(to, bytes, seq);
+            let after = ctx.core.fifo.len();
+            if after < before {
+                self.prunes += 1;
+            }
+            self.peak_map = self.peak_map.max(after);
+            let in_flight = ctx.core.messages_sent - ctx.core.delivered;
+            self.peak_in_flight = self.peak_in_flight.max(in_flight);
+        }
+    }
+
+    impl Actor for PruneProbe {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            ctx.set_timer(PRUNE_PERIOD_NS, 0);
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, u32>, from: Rank, seq: u32) {
+            if seq != self.expect[from as usize] {
+                self.out_of_order += 1;
+            }
+            self.expect[from as usize] = seq + 1;
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, k: u64) {
+            let n = ctx.n_ranks();
+            let to = (ctx.me() + 1 + (k % (n as u64 - 1)) as u32) % n;
+            self.send_seq(ctx, to, 2_000); // slow: 2,100 ns
+            self.send_seq(ctx, to, 1); // fast: 101 ns
+            self.ticks_left -= 1;
+            if self.ticks_left > 0 {
+                ctx.set_timer(PRUNE_PERIOD_NS, k + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn fifo_prune_keeps_order_and_bounds_the_map() {
+        // 96 ranks rotate over all 9,120 ordered pairs about twice. Each
+        // slow send is followed at once by a fast one on the same pair,
+        // so any prune that drops a still-binding entry lets the fast
+        // message overtake. The wide lookahead makes windows span many
+        // ticks, so a prune keyed on the window end instead of `now`
+        // would drop binding entries too.
+        let (n, ticks) = (96u32, 200u32);
+        for windowed in [true, false] {
+            let lat = |_f: Rank, _t: Rank, bytes: usize| 100 + bytes as u64;
+            let mut sim = Simulation::new(PruneProbe::fleet(n, ticks), lat, SimConfig::default());
+            if windowed {
+                sim.configure_parallel(ParallelConfig::new(1, 1_000_000));
+            }
+            let report = sim.run();
+            let sent = 2 * n as u64 * ticks as u64;
+            assert_eq!(report.messages, sent, "windowed={windowed}");
+            let probes: Vec<&PruneProbe> = (0..n).map(|r| sim.actor(r)).collect();
+            let out_of_order: u32 = probes.iter().map(|p| p.out_of_order).sum();
+            assert_eq!(out_of_order, 0, "windowed={windowed}: messages overtook");
+            let prunes: u32 = probes.iter().map(|p| p.prunes).sum();
+            assert!(
+                prunes >= 20,
+                "windowed={windowed}: only {prunes} prunes fired"
+            );
+            let peak_map = probes.iter().map(|p| p.peak_map).max().unwrap();
+            let peak_in_flight = probes.iter().map(|p| p.peak_in_flight).max().unwrap();
+            assert!(
+                peak_map as u64 <= 4 * peak_in_flight.max(FIFO_PRUNE_FLOOR as u64),
+                "windowed={windowed}: FIFO map peaked at {peak_map} entries with at most \
+                 {peak_in_flight} messages in flight"
+            );
+        }
     }
 
     /// Timer test actor: schedules three timers out of order.

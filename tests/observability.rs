@@ -4,7 +4,7 @@
 //! zero-overhead guarantee when tracing is off.
 
 use dws::core::{run_experiment, ExperimentConfig, StealAmount, VictimPolicy};
-use dws::metrics::export::parse;
+use dws::metrics::export::{parse, MAX_NESTING};
 use dws::metrics::JsonValue;
 use dws::simnet::{Crash, FaultPlan};
 use dws::uts::presets;
@@ -306,5 +306,24 @@ fn parser_rejects_every_truncation() {
             "prefix of {cut} bytes parsed: {:?}",
             &text[..cut]
         );
+    }
+}
+
+/// Deep nesting is refused with an error instead of recursing until the
+/// stack overflows: 200,000 `[` then 200,000 `]` (400 KB) used to abort
+/// `dws why` and `dws diff`.
+#[test]
+fn parser_rejects_nesting_past_the_limit() {
+    let nest = |open: &str, close: &str, depth: usize| open.repeat(depth) + &close.repeat(depth);
+    assert!(parse(&nest("[", "]", MAX_NESTING)).is_ok());
+    assert!(parse(&nest(r#"{"a":"#, "}", MAX_NESTING - 1).replace(":}", ":{}}")).is_ok());
+    for doc in [
+        nest("[", "]", MAX_NESTING + 1),
+        nest("[", "]", 200_000),
+        nest(r#"{"a":"#, "}", 200_000),
+        "[".repeat(200_000),
+    ] {
+        let err = parse(&doc).expect_err("nesting past the limit must be refused");
+        assert!(err.contains("nesting"), "{err}");
     }
 }
