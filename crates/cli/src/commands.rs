@@ -292,9 +292,15 @@ fn link_label(l: &Link) -> String {
     )
 }
 
-/// Write a JSON document to `path` with a trailing newline.
-fn write_json(path: &str, doc: &JsonValue) -> Result<(), String> {
-    std::fs::write(path, format!("{doc}\n")).map_err(|e| format!("{path}: {e}"))
+/// Write a JSON document to `path` with a trailing newline, streamed
+/// through a buffer rather than built in memory first.
+fn write_json(path: &str, doc: &impl std::fmt::Display) -> Result<(), String> {
+    use std::io::Write;
+    let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut out = std::io::BufWriter::new(file);
+    writeln!(out, "{doc}")
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 /// Emit the `--trace`, `--json`, and `--links` artifacts of a traced run.
@@ -554,11 +560,13 @@ pub fn trace(rest: &[String]) -> Result<(), String> {
     );
     let r = run_experiment(&cfg);
     let out = flags.get("out").unwrap_or("trace.json");
-    let doc = r.chrome_trace_json().expect("spans were collected");
-    write_json(out, &doc)?;
+    write_json(out, &r.chrome_trace_json().expect("spans were collected"))?;
     let spans = r.spans.as_ref().expect("spans were collected");
+    let peak_rss = perflab::peak_rss_bytes().map_or("n/a".to_string(), |b| {
+        format!("{:.1} MB", b as f64 / (1024.0 * 1024.0))
+    });
     println!(
-        "traced {} spans across {} ranks over {} — chrome trace written to {out}",
+        "traced {} spans across {} ranks over {} — chrome trace written to {out} (peak RSS {peak_rss})",
         spans.records().len(),
         r.n_ranks,
         r.makespan

@@ -17,7 +17,9 @@
 use crate::health::{AdaptiveCfg, VictimHealth};
 use crate::scheduler::{Counters, FaultToleranceCfg, SchedulerCfg, StealAmount, Worker};
 use crate::victim::VictimPolicy;
-use dws_metrics::export::{chrome_trace_with_critpath, histograms_json, span_counts_json};
+use dws_metrics::export::{
+    chrome_trace_with_critpath, histograms_json, span_counts_json, ChromeTrace,
+};
 use dws_metrics::perflab::{self, ProfileReport};
 use dws_metrics::{
     ActivityTrace, BlameReport, CriticalPath, Histogram, JsonValue, LatencyHistograms,
@@ -715,7 +717,7 @@ impl ExperimentResult {
     /// `None` unless the run collected spans. When the activity trace
     /// is also present, the document gains a dedicated "critical path"
     /// track with flow arrows hopping rank tracks along the path.
-    pub fn chrome_trace_json(&self) -> Option<JsonValue> {
+    pub fn chrome_trace_json(&self) -> Option<ChromeTrace> {
         let spans = self.spans.as_ref()?;
         let cp = self
             .trace

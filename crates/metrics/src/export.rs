@@ -2,9 +2,8 @@
 //! trace-event writer, and histogram/link-matrix serializers.
 //!
 //! The workspace carries no external crates, so JSON is hand-rolled: a
-//! small [`JsonValue`] tree with an escaping writer and a
-//! recursive-descent [`parse`] — the parser exists so tests (and
-//! downstream tools) can validate what the writer produced without a
+//! small [`JsonValue`] tree with an escaping writer for reports, and a
+//! recursive-descent [`parse`] that reads every artifact back without a
 //! serde dependency.
 //!
 //! The Chrome exporter targets the [trace-event format] consumed by
@@ -12,11 +11,13 @@
 //! `B`/`E` "working" phases from the activity trace, async `b`/`e`
 //! pairs per steal attempt keyed by trace ID, and `i` instants for
 //! protocol recovery events (timeouts, retransmits, token
-//! regenerations).
+//! regenerations). It is the largest document by far, so it skips the
+//! tree: [`ChromeTrace`] holds one small record per event and writes
+//! the JSON text directly.
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::critpath::CriticalPath;
+use crate::critpath::{Component, CriticalPath};
 use crate::histogram::{Histogram, LatencyHistograms};
 use crate::span::{SpanKind, SpanTrace};
 use crate::trace::ActivityTrace;
@@ -119,19 +120,31 @@ impl From<String> for JsonValue {
     }
 }
 
+/// Write `s` as a JSON string. Runs of characters that need no escape
+/// go out in one `write_str`; every escaped byte is ASCII, so a run
+/// never ends inside a multi-byte character.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\t' => f.write_str("\\t")?,
-            '\r' => f.write_str("\\r")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        if esc.is_empty() {
+            write!(f, "\\u{b:04x}")?;
+        } else {
+            f.write_str(esc)?;
         }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -521,56 +534,155 @@ pub fn span_counts_json(spans: &SpanTrace) -> JsonValue {
     )
 }
 
-/// Microseconds for a Chrome trace `ts` field.
-fn us(ns: u64) -> JsonValue {
-    JsonValue::Num(ns as f64 / 1000.0)
+/// Microseconds for a Chrome trace `ts`/`dur` field.
+fn us(ns: u64) -> f64 {
+    ns as f64 / 1000.0
 }
 
-fn event(
-    name: &str,
-    cat: &str,
-    ph: &str,
+/// What one Chrome event says besides its timestamp, track and trace
+/// ID: enough to write its name, category, phase and extra members.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    /// `M` metadata naming a rank's track "rank N".
+    RankName,
+    /// `M` metadata naming the critical-path track.
+    CritpathName,
+    /// `B` (true) or `E` (false) of a "working" phase.
+    Working(bool),
+    /// Async `b` opening a steal attempt.
+    StealBegin { victim: usize },
+    /// Async `e` closing a steal attempt that brought `nodes` tree
+    /// nodes.
+    StealOk { nodes: u64 },
+    /// Async `e` closing a steal attempt with any other outcome.
+    StealEnd(&'static str),
+    /// Flow step `s`/`t`/`f` on the steal chain keyed by the trace ID,
+    /// so Perfetto draws arrows request → service → reply → outcome.
+    StealFlow(char),
+    /// Async `n` at the victim's request receipt or reply.
+    Service,
+    /// Async `n` with the victim's service accounting.
+    Serviced { queue_ns: u64, depart_delay_ns: u64 },
+    /// `i` instant of protocol recovery.
+    Recovery(&'static str),
+    /// `i` instant of a victim put under probation.
+    Quarantined { victim: usize },
+    /// `X` slice of one critical-path segment.
+    CritSlice {
+        component: Component,
+        rank: u32,
+        dur_ns: u64,
+    },
+    /// Flow step `s`/`f` of the critical path's `hop`-th rank change.
+    CritFlow { ph: char, hop: usize },
+}
+
+/// One event of a [`ChromeTrace`]: a small `Copy` record, rendered to
+/// JSON text only when the trace is written.
+#[derive(Debug, Clone, Copy)]
+struct Record {
     ts_ns: u64,
-    rank: usize,
-    extra: Vec<(&str, JsonValue)>,
-) -> JsonValue {
-    let mut pairs = vec![
-        ("name", JsonValue::from(name)),
-        ("cat", JsonValue::from(cat)),
-        ("ph", JsonValue::from(ph)),
-        ("ts", us(ts_ns)),
-        ("pid", JsonValue::from(0u64)),
-        ("tid", JsonValue::from(rank)),
-    ];
-    pairs.extend(extra);
-    JsonValue::obj(pairs)
+    tid: usize,
+    trace: u64,
+    ev: Ev,
 }
 
-fn async_extra(trace: u64) -> (&'static str, JsonValue) {
-    // Chrome matches async b/e events on (cat, id); a hex string id
-    // sidesteps f64 precision limits on wide trace IDs.
-    ("id", JsonValue::Str(format!("{trace:x}")))
-}
-
-fn outcome_args(outcome: &str) -> (&'static str, JsonValue) {
-    ("args", JsonValue::obj(vec![("outcome", outcome.into())]))
-}
-
-/// A flow event (`ph` ∈ {`s`, `t`, `f`}) on the steal chain keyed by
-/// the attempt's trace ID, so Perfetto draws arrows request → service
-/// → reply → outcome across rank tracks.
-fn flow_event(ph: &str, ts_ns: u64, rank: usize, trace: u64) -> JsonValue {
-    let mut extra = vec![async_extra(trace)];
-    if ph == "f" {
-        // Bind the arrowhead to the enclosing slice rather than the
-        // next one on the track.
-        extra.push(("bp", "e".into()));
+impl Record {
+    /// Write the event object. Every number prints through `f64`
+    /// `Display`, as [`JsonValue::Num`] does, so the text is the same
+    /// as a `JsonValue` rendering for any value; every name is a fixed
+    /// ASCII label that needs no escaping.
+    fn write(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (name, cat, ph) = match self.ev {
+            Ev::RankName | Ev::CritpathName => ("thread_name", "__metadata", 'M'),
+            Ev::Working(begin) => ("working", "activity", if begin { 'B' } else { 'E' }),
+            Ev::StealBegin { .. } => ("steal", "steal", 'b'),
+            Ev::StealOk { .. } | Ev::StealEnd(_) => ("steal", "steal", 'e'),
+            Ev::StealFlow(ph) => ("steal chain", "steal-flow", ph),
+            Ev::Service => ("service", "steal", 'n'),
+            Ev::Serviced { .. } => ("serviced", "steal", 'n'),
+            Ev::Recovery(name) => (name, "recovery", 'i'),
+            Ev::Quarantined { .. } => ("quarantined", "recovery", 'i'),
+            Ev::CritSlice { component, .. } => (component.label(), "critpath", 'X'),
+            Ev::CritFlow { ph, .. } => ("critical path", "critpath-flow", ph),
+        };
+        write!(
+            f,
+            r#"{{"name":"{name}","cat":"{cat}","ph":"{ph}","ts":{},"pid":0,"tid":{}"#,
+            us(self.ts_ns),
+            self.tid as f64
+        )?;
+        // Chrome matches async b/e events on (cat, id); a hex string id
+        // sidesteps f64 precision limits on wide trace IDs.
+        let id = self.trace;
+        match self.ev {
+            Ev::RankName => write!(f, r#","args":{{"name":"rank {}"}}"#, self.tid)?,
+            Ev::CritpathName => f.write_str(r#","args":{"name":"critical path"}"#)?,
+            Ev::Working(_) => {}
+            Ev::StealBegin { victim } => {
+                write!(f, r#","id":"{id:x}","args":{{"victim":{}}}"#, victim as f64)?
+            }
+            Ev::StealOk { nodes } => write!(
+                f,
+                r#","id":"{id:x}","args":{{"outcome":"ok","nodes":{}}}"#,
+                nodes as f64
+            )?,
+            Ev::StealEnd(outcome) => {
+                write!(f, r#","id":"{id:x}","args":{{"outcome":"{outcome}"}}"#)?
+            }
+            Ev::StealFlow(_) | Ev::Service => write!(f, r#","id":"{id:x}""#)?,
+            Ev::Serviced {
+                queue_ns,
+                depart_delay_ns,
+            } => write!(
+                f,
+                r#","id":"{id:x}","args":{{"queue_ns":{},"depart_delay_ns":{}}}"#,
+                queue_ns as f64, depart_delay_ns as f64
+            )?,
+            Ev::Recovery(_) => f.write_str(r#","s":"t""#)?,
+            Ev::Quarantined { victim } => {
+                write!(f, r#","s":"t","args":{{"victim":{}}}"#, victim as f64)?
+            }
+            Ev::CritSlice { rank, dur_ns, .. } => write!(
+                f,
+                r#","dur":{},"args":{{"rank":{}}}"#,
+                us(dur_ns),
+                rank as f64
+            )?,
+            Ev::CritFlow { hop, .. } => write!(f, r#","id":"cp{hop}""#)?,
+        }
+        if matches!(self.ev, Ev::StealFlow('f') | Ev::CritFlow { ph: 'f', .. }) {
+            // Bind the arrowhead to the enclosing slice rather than the
+            // next one on the track.
+            f.write_str(r#","bp":"e""#)?;
+        }
+        f.write_str("}")
     }
-    event("steal chain", "steal-flow", ph, ts_ns, rank, extra)
 }
 
-/// Export a run as Chrome trace-event JSON, loadable in
-/// `chrome://tracing` or Perfetto.
+/// A run as Chrome trace-event JSON, loadable in `chrome://tracing` or
+/// Perfetto: compact per-event records, stable-sorted by timestamp,
+/// written as JSON text by its `Display` (`to_string`, or `write!`
+/// straight to a file).
+#[derive(Debug)]
+pub struct ChromeTrace {
+    records: Vec<Record>,
+}
+
+impl fmt::Display for ChromeTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(r#"{"traceEvents":["#)?;
+        for (i, r) in self.records.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            r.write(f)?;
+        }
+        f.write_str(r#"],"displayTimeUnit":"ns"}"#)
+    }
+}
+
+/// Export a run as Chrome trace-event JSON.
 ///
 /// One thread track per rank: `B`/`E` "working" phases come from the
 /// (skew-corrected) `activity` trace, with any phase still open at
@@ -582,7 +694,7 @@ pub fn chrome_trace(
     spans: &SpanTrace,
     activity: Option<&ActivityTrace>,
     makespan_ns: u64,
-) -> JsonValue {
+) -> ChromeTrace {
     chrome_trace_with_critpath(spans, activity, makespan_ns, None)
 }
 
@@ -595,264 +707,100 @@ pub fn chrome_trace_with_critpath(
     activity: Option<&ActivityTrace>,
     makespan_ns: u64,
     critpath: Option<&CriticalPath>,
-) -> JsonValue {
-    let mut events: Vec<(u64, JsonValue)> = Vec::new();
+) -> ChromeTrace {
     let n_ranks = activity
         .map(|a| a.n_ranks() as usize)
         .unwrap_or(0)
         .max(spans.n_ranks());
+    let mut records = Vec::with_capacity(n_ranks + 2 * spans.records().len());
+    let mut push = |ts_ns, tid, trace, ev| {
+        records.push(Record {
+            ts_ns,
+            tid,
+            trace,
+            ev,
+        })
+    };
 
     // Track-naming metadata so the viewer shows "rank N", not "tid N".
     for rank in 0..n_ranks {
-        events.push((
-            0,
-            event(
-                "thread_name",
-                "__metadata",
-                "M",
-                0,
-                rank,
-                vec![(
-                    "args",
-                    JsonValue::obj(vec![("name", format!("rank {rank}").into())]),
-                )],
-            ),
-        ));
+        push(0, rank, 0, Ev::RankName);
     }
 
     // Working phases from the activity trace.
     if let Some(trace) = activity {
-        let sorted = trace.sorted();
         let mut open: Vec<bool> = vec![false; trace.n_ranks() as usize];
-        for t in sorted.iter() {
+        for t in trace.sorted().iter() {
             let rank = t.rank as usize;
-            if t.active && !open[rank] {
-                events.push((
-                    t.at_ns,
-                    event("working", "activity", "B", t.at_ns, rank, vec![]),
-                ));
-                open[rank] = true;
-            } else if !t.active && open[rank] {
-                events.push((
-                    t.at_ns,
-                    event("working", "activity", "E", t.at_ns, rank, vec![]),
-                ));
-                open[rank] = false;
+            if t.active != open[rank] {
+                push(t.at_ns, rank, 0, Ev::Working(t.active));
+                open[rank] = t.active;
             }
         }
-        for (rank, is_open) in open.iter().enumerate() {
-            if *is_open {
-                events.push((
-                    makespan_ns,
-                    event("working", "activity", "E", makespan_ns, rank, vec![]),
-                ));
-            }
+        for (rank, _) in open.iter().enumerate().filter(|(_, is_open)| **is_open) {
+            push(makespan_ns, rank, 0, Ev::Working(false));
         }
     }
 
     // Steal attempts as async pairs; recovery machinery as instants.
     let mut open_attempts: Vec<(usize, u64)> = Vec::new();
     for r in spans.records() {
-        match r.kind {
+        let mut push = |ev| push(r.at_ns, r.rank, r.trace, ev);
+        let end = match r.kind {
             SpanKind::StealRequestSent { victim } => {
                 open_attempts.push((r.rank, r.trace));
-                events.push((
-                    r.at_ns,
-                    event(
-                        "steal",
-                        "steal",
-                        "b",
-                        r.at_ns,
-                        r.rank,
-                        vec![
-                            async_extra(r.trace),
-                            ("args", JsonValue::obj(vec![("victim", victim.into())])),
-                        ],
-                    ),
-                ));
-                events.push((r.at_ns, flow_event("s", r.at_ns, r.rank, r.trace)));
+                push(Ev::StealBegin { victim });
+                push(Ev::StealFlow('s'));
+                continue;
             }
-            SpanKind::StealOk { nodes, .. } => {
-                open_attempts.retain(|&(rk, tr)| !(rk == r.rank && tr == r.trace));
-                events.push((
-                    r.at_ns,
-                    event(
-                        "steal",
-                        "steal",
-                        "e",
-                        r.at_ns,
-                        r.rank,
-                        vec![
-                            async_extra(r.trace),
-                            (
-                                "args",
-                                JsonValue::obj(vec![
-                                    ("outcome", "ok".into()),
-                                    ("nodes", nodes.into()),
-                                ]),
-                            ),
-                        ],
-                    ),
-                ));
-                events.push((r.at_ns, flow_event("f", r.at_ns, r.rank, r.trace)));
-            }
-            SpanKind::StealEmpty { .. } => {
-                open_attempts.retain(|&(rk, tr)| !(rk == r.rank && tr == r.trace));
-                events.push((
-                    r.at_ns,
-                    event(
-                        "steal",
-                        "steal",
-                        "e",
-                        r.at_ns,
-                        r.rank,
-                        vec![async_extra(r.trace), outcome_args("empty")],
-                    ),
-                ));
-                events.push((r.at_ns, flow_event("f", r.at_ns, r.rank, r.trace)));
-            }
-            SpanKind::StealTimeout { .. } => {
-                open_attempts.retain(|&(rk, tr)| !(rk == r.rank && tr == r.trace));
-                events.push((
-                    r.at_ns,
-                    event(
-                        "steal",
-                        "steal",
-                        "e",
-                        r.at_ns,
-                        r.rank,
-                        vec![async_extra(r.trace), outcome_args("timeout")],
-                    ),
-                ));
-                events.push((r.at_ns, flow_event("f", r.at_ns, r.rank, r.trace)));
-                events.push((
-                    r.at_ns,
-                    event(
-                        "steal timeout",
-                        "recovery",
-                        "i",
-                        r.at_ns,
-                        r.rank,
-                        vec![("s", "t".into())],
-                    ),
-                ));
-            }
-            SpanKind::StealAbandoned { .. } => {
-                open_attempts.retain(|&(rk, tr)| !(rk == r.rank && tr == r.trace));
-                events.push((
-                    r.at_ns,
-                    event(
-                        "steal",
-                        "steal",
-                        "e",
-                        r.at_ns,
-                        r.rank,
-                        vec![async_extra(r.trace), outcome_args("abandoned")],
-                    ),
-                ));
-                events.push((r.at_ns, flow_event("f", r.at_ns, r.rank, r.trace)));
-            }
+            SpanKind::StealOk { nodes, .. } => Ev::StealOk { nodes },
+            SpanKind::StealEmpty { .. } => Ev::StealEnd("empty"),
+            SpanKind::StealTimeout { .. } => Ev::StealEnd("timeout"),
+            SpanKind::StealAbandoned { .. } => Ev::StealEnd("abandoned"),
             SpanKind::StealRequestRecv { .. } | SpanKind::StealReplySent { .. } => {
-                events.push((
-                    r.at_ns,
-                    event(
-                        "service",
-                        "steal",
-                        "n",
-                        r.at_ns,
-                        r.rank,
-                        vec![async_extra(r.trace)],
-                    ),
-                ));
-                events.push((r.at_ns, flow_event("t", r.at_ns, r.rank, r.trace)));
+                push(Ev::Service);
+                push(Ev::StealFlow('t'));
+                continue;
             }
             SpanKind::StealServiced {
                 queue_ns,
                 depart_delay_ns,
                 ..
             } => {
-                events.push((
-                    r.at_ns,
-                    event(
-                        "serviced",
-                        "steal",
-                        "n",
-                        r.at_ns,
-                        r.rank,
-                        vec![
-                            async_extra(r.trace),
-                            (
-                                "args",
-                                JsonValue::obj(vec![
-                                    ("queue_ns", queue_ns.into()),
-                                    ("depart_delay_ns", depart_delay_ns.into()),
-                                ]),
-                            ),
-                        ],
-                    ),
-                ));
+                push(Ev::Serviced {
+                    queue_ns,
+                    depart_delay_ns,
+                });
+                continue;
             }
             SpanKind::Quarantined { victim } => {
-                events.push((
-                    r.at_ns,
-                    event(
-                        "quarantined",
-                        "recovery",
-                        "i",
-                        r.at_ns,
-                        r.rank,
-                        vec![
-                            ("s", "t".into()),
-                            ("args", JsonValue::obj(vec![("victim", victim.into())])),
-                        ],
-                    ),
-                ));
+                push(Ev::Quarantined { victim });
+                continue;
             }
             SpanKind::Retransmit { .. } => {
-                events.push((
-                    r.at_ns,
-                    event(
-                        "retransmit",
-                        "recovery",
-                        "i",
-                        r.at_ns,
-                        r.rank,
-                        vec![("s", "t".into())],
-                    ),
-                ));
+                push(Ev::Recovery("retransmit"));
+                continue;
             }
             SpanKind::TokenRegenerated { .. } => {
-                events.push((
-                    r.at_ns,
-                    event(
-                        "token regenerated",
-                        "recovery",
-                        "i",
-                        r.at_ns,
-                        r.rank,
-                        vec![("s", "t".into())],
-                    ),
-                ));
+                push(Ev::Recovery("token regenerated"));
+                continue;
             }
             SpanKind::TransferAcked { .. }
             | SpanKind::TokenHop { .. }
             | SpanKind::SessionEnd { .. }
-            | SpanKind::Done => {}
+            | SpanKind::Done => continue,
+        };
+        // The attempt resolved: close its async pair and flow.
+        open_attempts.retain(|&(rk, tr)| !(rk == r.rank && tr == r.trace));
+        push(end);
+        push(Ev::StealFlow('f'));
+        if let SpanKind::StealTimeout { .. } = r.kind {
+            push(Ev::Recovery("steal timeout"));
         }
     }
     // Attempts a crash left open: close them so every b has an e.
     for (rank, trace) in open_attempts {
-        events.push((
-            makespan_ns,
-            event(
-                "steal",
-                "steal",
-                "e",
-                makespan_ns,
-                rank,
-                vec![async_extra(trace), outcome_args("unresolved")],
-            ),
-        ));
+        push(makespan_ns, rank, trace, Ev::StealEnd("unresolved"));
     }
 
     // The critical path as its own track: one `X` slice per attributed
@@ -860,77 +808,29 @@ pub fn chrome_trace_with_critpath(
     // the path changes rank.
     if let Some(cp) = critpath {
         let cp_tid = n_ranks;
-        events.push((
-            0,
-            event(
-                "thread_name",
-                "__metadata",
-                "M",
-                0,
-                cp_tid,
-                vec![(
-                    "args",
-                    JsonValue::obj(vec![("name", "critical path".into())]),
-                )],
-            ),
-        ));
+        push(0, cp_tid, 0, Ev::CritpathName);
         let segs = cp.segments();
-        for (i, seg) in segs.iter().enumerate() {
-            events.push((
+        for (hop, seg) in segs.iter().enumerate() {
+            push(
                 seg.from_ns,
-                event(
-                    seg.component.label(),
-                    "critpath",
-                    "X",
-                    seg.from_ns,
-                    cp_tid,
-                    vec![
-                        ("dur", us(seg.dur_ns())),
-                        (
-                            "args",
-                            JsonValue::obj(vec![("rank", (seg.rank as usize).into())]),
-                        ),
-                    ],
-                ),
-            ));
-            if let Some(next) = segs.get(i + 1) {
-                if next.rank != seg.rank {
-                    let id = ("id", JsonValue::Str(format!("cp{i}")));
-                    events.push((
-                        seg.to_ns,
-                        event(
-                            "critical path",
-                            "critpath-flow",
-                            "s",
-                            seg.to_ns,
-                            seg.rank as usize,
-                            vec![id.clone()],
-                        ),
-                    ));
-                    events.push((
-                        next.from_ns,
-                        event(
-                            "critical path",
-                            "critpath-flow",
-                            "f",
-                            next.from_ns,
-                            next.rank as usize,
-                            vec![id, ("bp", "e".into())],
-                        ),
-                    ));
-                }
+                cp_tid,
+                0,
+                Ev::CritSlice {
+                    component: seg.component,
+                    rank: seg.rank,
+                    dur_ns: seg.dur_ns(),
+                },
+            );
+            if let Some(next) = segs.get(hop + 1).filter(|next| next.rank != seg.rank) {
+                let flow = |ph| Ev::CritFlow { ph, hop };
+                push(seg.to_ns, seg.rank as usize, 0, flow('s'));
+                push(next.from_ns, next.rank as usize, 0, flow('f'));
             }
         }
     }
 
-    events.sort_by_key(|&(ts, _)| ts);
-    JsonValue::obj(vec![
-        (
-            "traceEvents",
-            JsonValue::Arr(events.into_iter().map(|(_, e)| e).collect()),
-        ),
-        ("displayTimeUnit", "ns".into()),
-    ])
+    records.sort_by_key(|r| r.ts_ns);
+    ChromeTrace { records }
 }
 
 #[cfg(test)]
@@ -951,8 +851,12 @@ mod tests {
                 JsonValue::Arr(vec![1u64.into(), "two".into(), JsonValue::Arr(vec![])]),
             ),
             ("empty_obj", JsonValue::Obj(vec![])),
+            ("mixed", "\"q\" \\ \u{1}é€😀\r\t\u{1f}end".into()),
+            ("k\"\\\u{1}😀", "".into()),
         ]);
         let text = doc.to_string();
+        assert!(text.contains(r#""mixed":"\"q\" \\ \u0001é€😀\r\t\u001fend""#));
+        assert!(text.contains(r#""k\"\\\u0001😀":"""#));
         let back = parse(&text).unwrap();
         assert_eq!(back, doc);
         assert_eq!(back.get("n").unwrap().as_num(), Some(42.5));
@@ -1030,6 +934,172 @@ mod tests {
         ])
     }
 
+    /// Three ranks reaching every event-emitting arm of the Chrome
+    /// writer: every span kind (including the ones it skips), a steal
+    /// attempt still open at the makespan, a rank still working at the
+    /// makespan, and a critical path that hops from rank 0 to rank 1.
+    fn golden_run() -> (SpanTrace, ActivityTrace, u64) {
+        let rec = |at_ns, rank, trace, kind| SpanRecord {
+            at_ns,
+            rank,
+            trace,
+            kind,
+        };
+        let (id0, id1) = (trace_id(1, 0), trace_id(1, 1));
+        let (id2, id3, id4) = (trace_id(2, 0xabc), trace_id(2, 0xabd), trace_id(2, 0xabe));
+        let r0 = vec![
+            rec(400, 0, id1, SpanKind::StealRequestRecv { thief: 1 }),
+            rec(
+                700,
+                0,
+                id1,
+                SpanKind::StealServiced {
+                    thief: 1,
+                    queue_ns: 300,
+                    depart_delay_ns: 100,
+                },
+            ),
+            rec(
+                700,
+                0,
+                id1,
+                SpanKind::StealReplySent {
+                    thief: 1,
+                    nodes: 40,
+                },
+            ),
+            rec(1100, 0, 0, SpanKind::TransferAcked { thief: 1, xfer: 7 }),
+            rec(
+                1200,
+                0,
+                0,
+                SpanKind::TokenHop {
+                    to: 1,
+                    generation: 2,
+                },
+            ),
+            rec(1333, 0, 0, SpanKind::TokenRegenerated { generation: 3 }),
+        ];
+        let r1 = vec![
+            rec(0, 1, id0, SpanKind::StealRequestSent { victim: 0 }),
+            rec(
+                200,
+                1,
+                id0,
+                SpanKind::StealEmpty {
+                    victim: 0,
+                    rtt_ns: 200,
+                },
+            ),
+            rec(300, 1, id1, SpanKind::StealRequestSent { victim: 0 }),
+            rec(
+                900,
+                1,
+                id1,
+                SpanKind::StealOk {
+                    victim: 0,
+                    rtt_ns: 600,
+                    nodes: 40,
+                },
+            ),
+            rec(
+                955,
+                1,
+                0,
+                SpanKind::Retransmit {
+                    to: 0,
+                    xfer: 7,
+                    attempt: 1,
+                },
+            ),
+            rec(1000, 1, 0, SpanKind::SessionEnd { dur_ns: 700 }),
+        ];
+        let r2 = vec![
+            rec(100, 2, id2, SpanKind::StealRequestSent { victim: 0 }),
+            rec(
+                600,
+                2,
+                id2,
+                SpanKind::StealTimeout {
+                    victim: 0,
+                    backoff_doublings: 1,
+                },
+            ),
+            rec(600, 2, 0, SpanKind::Quarantined { victim: 0 }),
+            rec(650, 2, id3, SpanKind::StealRequestSent { victim: 1 }),
+            rec(1250, 2, id3, SpanKind::StealAbandoned { victim: 1 }),
+            rec(1400, 2, id4, SpanKind::StealRequestSent { victim: 1 }),
+            rec(1500, 2, 0, SpanKind::Done),
+        ];
+        let spans = SpanTrace::from_per_rank(vec![r0, r1, r2]);
+        let mut act = ActivityTrace::new(3);
+        act.record(0, 0, true);
+        act.record(0, 1000, false);
+        act.record(1, 900, true);
+        act.record(2, 1500, false);
+        (spans, act, 2000)
+    }
+
+    /// The exact bytes of [`golden_run`]'s trace, critical path
+    /// included, as recorded from the JSON-tree writer this one
+    /// replaced.
+    const GOLDEN: &str = concat!(
+        r#"{"traceEvents":["#,
+        r#"{"name":"thread_name","cat":"__metadata","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"rank 0"}},"#,
+        r#"{"name":"thread_name","cat":"__metadata","ph":"M","ts":0,"pid":0,"tid":1,"args":{"name":"rank 1"}},"#,
+        r#"{"name":"thread_name","cat":"__metadata","ph":"M","ts":0,"pid":0,"tid":2,"args":{"name":"rank 2"}},"#,
+        r#"{"name":"working","cat":"activity","ph":"B","ts":0,"pid":0,"tid":0},"#,
+        r#"{"name":"steal","cat":"steal","ph":"b","ts":0,"pid":0,"tid":1,"id":"10000000000","args":{"victim":0}},"#,
+        r#"{"name":"steal chain","cat":"steal-flow","ph":"s","ts":0,"pid":0,"tid":1,"id":"10000000000"},"#,
+        r#"{"name":"thread_name","cat":"__metadata","ph":"M","ts":0,"pid":0,"tid":3,"args":{"name":"critical path"}},"#,
+        r#"{"name":"compute","cat":"critpath","ph":"X","ts":0,"pid":0,"tid":3,"dur":0.4,"args":{"rank":0}},"#,
+        r#"{"name":"steal","cat":"steal","ph":"b","ts":0.1,"pid":0,"tid":2,"id":"20000000abc","args":{"victim":0}},"#,
+        r#"{"name":"steal chain","cat":"steal-flow","ph":"s","ts":0.1,"pid":0,"tid":2,"id":"20000000abc"},"#,
+        r#"{"name":"steal","cat":"steal","ph":"e","ts":0.2,"pid":0,"tid":1,"id":"10000000000","args":{"outcome":"empty"}},"#,
+        r#"{"name":"steal chain","cat":"steal-flow","ph":"f","ts":0.2,"pid":0,"tid":1,"id":"10000000000","bp":"e"},"#,
+        r#"{"name":"steal","cat":"steal","ph":"b","ts":0.3,"pid":0,"tid":1,"id":"10000000001","args":{"victim":0}},"#,
+        r#"{"name":"steal chain","cat":"steal-flow","ph":"s","ts":0.3,"pid":0,"tid":1,"id":"10000000001"},"#,
+        r#"{"name":"service","cat":"steal","ph":"n","ts":0.4,"pid":0,"tid":0,"id":"10000000001"},"#,
+        r#"{"name":"steal chain","cat":"steal-flow","ph":"t","ts":0.4,"pid":0,"tid":0,"id":"10000000001"},"#,
+        r#"{"name":"queue at victim","cat":"critpath","ph":"X","ts":0.4,"pid":0,"tid":3,"dur":0.4,"args":{"rank":0}},"#,
+        r#"{"name":"steal","cat":"steal","ph":"e","ts":0.6,"pid":0,"tid":2,"id":"20000000abc","args":{"outcome":"timeout"}},"#,
+        r#"{"name":"steal chain","cat":"steal-flow","ph":"f","ts":0.6,"pid":0,"tid":2,"id":"20000000abc","bp":"e"},"#,
+        r#"{"name":"steal timeout","cat":"recovery","ph":"i","ts":0.6,"pid":0,"tid":2,"s":"t"},"#,
+        r#"{"name":"quarantined","cat":"recovery","ph":"i","ts":0.6,"pid":0,"tid":2,"s":"t","args":{"victim":0}},"#,
+        r#"{"name":"steal","cat":"steal","ph":"b","ts":0.65,"pid":0,"tid":2,"id":"20000000abd","args":{"victim":1}},"#,
+        r#"{"name":"steal chain","cat":"steal-flow","ph":"s","ts":0.65,"pid":0,"tid":2,"id":"20000000abd"},"#,
+        r#"{"name":"serviced","cat":"steal","ph":"n","ts":0.7,"pid":0,"tid":0,"id":"10000000001","args":{"queue_ns":300,"depart_delay_ns":100}},"#,
+        r#"{"name":"service","cat":"steal","ph":"n","ts":0.7,"pid":0,"tid":0,"id":"10000000001"},"#,
+        r#"{"name":"steal chain","cat":"steal-flow","ph":"t","ts":0.7,"pid":0,"tid":0,"id":"10000000001"},"#,
+        r#"{"name":"critical path","cat":"critpath-flow","ph":"s","ts":0.8,"pid":0,"tid":0,"id":"cp1"},"#,
+        r#"{"name":"critical path","cat":"critpath-flow","ph":"f","ts":0.8,"pid":0,"tid":1,"id":"cp1","bp":"e"},"#,
+        r#"{"name":"reply travel","cat":"critpath","ph":"X","ts":0.8,"pid":0,"tid":3,"dur":0.1,"args":{"rank":1}},"#,
+        r#"{"name":"working","cat":"activity","ph":"B","ts":0.9,"pid":0,"tid":1},"#,
+        r#"{"name":"steal","cat":"steal","ph":"e","ts":0.9,"pid":0,"tid":1,"id":"10000000001","args":{"outcome":"ok","nodes":40}},"#,
+        r#"{"name":"steal chain","cat":"steal-flow","ph":"f","ts":0.9,"pid":0,"tid":1,"id":"10000000001","bp":"e"},"#,
+        r#"{"name":"compute","cat":"critpath","ph":"X","ts":0.9,"pid":0,"tid":3,"dur":1.1,"args":{"rank":1}},"#,
+        r#"{"name":"retransmit","cat":"recovery","ph":"i","ts":0.955,"pid":0,"tid":1,"s":"t"},"#,
+        r#"{"name":"working","cat":"activity","ph":"E","ts":1,"pid":0,"tid":0},"#,
+        r#"{"name":"steal","cat":"steal","ph":"e","ts":1.25,"pid":0,"tid":2,"id":"20000000abd","args":{"outcome":"abandoned"}},"#,
+        r#"{"name":"steal chain","cat":"steal-flow","ph":"f","ts":1.25,"pid":0,"tid":2,"id":"20000000abd","bp":"e"},"#,
+        r#"{"name":"token regenerated","cat":"recovery","ph":"i","ts":1.333,"pid":0,"tid":0,"s":"t"},"#,
+        r#"{"name":"steal","cat":"steal","ph":"b","ts":1.4,"pid":0,"tid":2,"id":"20000000abe","args":{"victim":1}},"#,
+        r#"{"name":"steal chain","cat":"steal-flow","ph":"s","ts":1.4,"pid":0,"tid":2,"id":"20000000abe"},"#,
+        r#"{"name":"working","cat":"activity","ph":"E","ts":2,"pid":0,"tid":1},"#,
+        r#"{"name":"steal","cat":"steal","ph":"e","ts":2,"pid":0,"tid":2,"id":"20000000abe","args":{"outcome":"unresolved"}}"#,
+        r#"],"displayTimeUnit":"ns"}"#,
+    );
+
+    #[test]
+    fn chrome_trace_matches_golden_bytes() {
+        let (spans, act, makespan) = golden_run();
+        let cp = CriticalPath::extract(&spans, &act, makespan);
+        cp.check().unwrap();
+        let doc = chrome_trace_with_critpath(&spans, Some(&act), makespan, Some(&cp));
+        assert_eq!(doc.to_string(), GOLDEN);
+        parse(GOLDEN).unwrap();
+    }
+
     #[test]
     fn chrome_trace_pairs_async_events() {
         let mut activity = ActivityTrace::new(2);
@@ -1063,8 +1133,8 @@ mod tests {
             trace: trace_id(0, 0),
             kind: SpanKind::StealRequestSent { victim: 1 },
         }]]);
-        let doc = chrome_trace(&spans, None, 1000);
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let parsed = parse(&chrome_trace(&spans, None, 1000).to_string()).unwrap();
+        let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
         let closes: Vec<_> = events
             .iter()
             .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("e"))

@@ -1,12 +1,14 @@
 //! End-to-end checks of the observability subsystem: span/counter
 //! reconciliation, Chrome trace well-formedness, the machine-readable
-//! run report, the report parser's linear time and robustness, and the
+//! run report, the report parser's linear time and robustness, every
+//! artifact reader's robustness to byte mutations, and the
 //! zero-overhead guarantee when tracing is off.
 
 use dws::core::{run_experiment, ExperimentConfig, StealAmount, VictimPolicy};
-use dws::metrics::export::{parse, MAX_NESTING};
-use dws::metrics::JsonValue;
-use dws::simnet::{Crash, FaultPlan};
+use dws::metrics::export::{chrome_trace, parse, MAX_NESTING};
+use dws::metrics::perflab::{self, BenchMetric, BenchRecord, Polarity, BENCH_SCHEMA_VERSION};
+use dws::metrics::{blame, JsonValue, ShardSnap, Snapshot, SpanTrace, SNAPSHOT_SCHEMA_VERSION};
+use dws::simnet::{Crash, DetRng, FaultPlan};
 use dws::uts::presets;
 
 fn traced_config(ranks: u32) -> ExperimentConfig {
@@ -326,4 +328,126 @@ fn parser_rejects_nesting_past_the_limit() {
         let err = parse(&doc).expect_err("nesting past the limit must be refused");
         assert!(err.contains("nesting"), "{err}");
     }
+}
+
+/// Apply one to three random byte mutations to `base` — flip a bit,
+/// delete a byte, insert a byte (usually a JSON structural one), or
+/// truncate — and hand the result to a `&str` reader as lossy UTF-8.
+fn mutate(rng: &mut DetRng, base: &[u8]) -> String {
+    const STRUCTURAL: &[u8] = b"{}[],:\"\\-+.eE0u ";
+    let mut b = base.to_vec();
+    for _ in 0..=rng.next_below(3) {
+        let at = rng.next_below(b.len() as u64 + 1) as usize;
+        match rng.next_below(4) {
+            0 if at < b.len() => b[at] ^= 1 << rng.next_below(8),
+            1 if at < b.len() => {
+                b.remove(at);
+            }
+            2 => {
+                let byte = if rng.next_below(4) == 0 {
+                    rng.next_u64() as u8
+                } else {
+                    STRUCTURAL[rng.next_below(STRUCTURAL.len() as u64) as usize]
+                };
+                b.insert(at, byte);
+            }
+            _ => b.truncate(at),
+        }
+    }
+    String::from_utf8_lossy(&b).into_owned()
+}
+
+/// Every artifact reader returns `Ok` or `Err` — never panics, never
+/// hangs — on byte-mutated input: a run report (parsed, then read by
+/// `dws diff` and `dws why`), a small Chrome trace, a bench trajectory
+/// and a snapshot line. The mutations run on a worker thread so a hang
+/// fails the test instead of stalling it.
+#[test]
+fn artifact_readers_survive_byte_mutations() {
+    const MUTATIONS: usize = 2_000;
+    let mut cfg = ExperimentConfig::new(presets::t3sim_xs(), 4);
+    cfg.collect_spans = true;
+    let r = run_experiment(&cfg);
+    let report = r.json_report().to_string();
+    let spans = r.spans.as_ref().expect("spans collected");
+    let head = SpanTrace::from_per_rank(vec![spans.records()[..40].to_vec()]);
+    let chrome = chrome_trace(&head, None, r.makespan.ns()).to_string();
+    let record = BenchRecord {
+        schema: BENCH_SCHEMA_VERSION,
+        // Escapes in the text, so mutations also land inside them.
+        bench: "fuzz \"q\" \\ \u{1} é".to_string(),
+        git_rev: "abc1234".to_string(),
+        fingerprint: perflab::fingerprint("fuzz-config"),
+        trial_seed: 1,
+        unix_time_s: 1_754_000_000,
+        trials: 3,
+        threads: 2,
+        metrics: vec![
+            BenchMetric::from_samples("lat", "ns", Polarity::LowerIsBetter, &[10.0, 11.5, 12.0]),
+            BenchMetric::point("rate", "1/s", Polarity::HigherIsBetter, 1e6),
+        ],
+    };
+    let trajectory = format!("{}\n{}\n", record.to_json(), record.to_json());
+    let snapshot = Snapshot {
+        schema: SNAPSHOT_SCHEMA_VERSION,
+        seq: 3,
+        n_ranks: 32,
+        wall_ms: 1500,
+        sim_ns: 2_000_000,
+        events: 123_456,
+        events_per_sec: 2.5e6,
+        queue_depth: 42,
+        ready_chunks: 17,
+        steals_ok: 900,
+        steals_empty: 100,
+        quarantined: 2,
+        active_workers: 30,
+        w_max: 32,
+        shards: vec![ShardSnap {
+            shard: 0,
+            now_ns: 2_000_000,
+            windows: 50,
+            events: 70_000,
+            queue_depth: 20,
+            busy_ns: 5_000,
+            wait_ns: 100,
+        }],
+    }
+    .to_json()
+    .to_string();
+    // The unmutated artifacts read cleanly.
+    let doc = parse(&report).expect("report parses");
+    blame::verify_report(&doc).expect("report blame verifies");
+    parse(&chrome).expect("chrome trace parses");
+    assert_eq!(perflab::parse_trajectory(&trajectory).unwrap().len(), 2);
+    Snapshot::from_json(&parse(&snapshot).unwrap()).expect("snapshot reads");
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut rng = DetRng::new(0xF022_2026);
+        let mut oks = 0usize;
+        for _ in 0..MUTATIONS {
+            if let Ok(doc) = parse(&mutate(&mut rng, report.as_bytes())) {
+                perflab::metrics_from_run_report(&doc);
+                oks += blame::verify_report(&doc).is_ok() as usize;
+            }
+            oks += parse(&mutate(&mut rng, chrome.as_bytes())).is_ok() as usize;
+            oks += perflab::parse_trajectory(&mutate(&mut rng, trajectory.as_bytes())).is_ok()
+                as usize;
+            if let Ok(doc) = parse(&mutate(&mut rng, snapshot.as_bytes())) {
+                oks += Snapshot::from_json(&doc).is_ok() as usize;
+            }
+        }
+        done_tx.send(oks).ok();
+    });
+    let oks = done_rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a reader panicked or hung on mutated input");
+    // Some mutations are harmless (a digit flipped inside a number);
+    // most must be refused.
+    assert!(
+        oks > 0 && oks < 4 * MUTATIONS,
+        "{oks} of {} accepted",
+        4 * MUTATIONS
+    );
 }
