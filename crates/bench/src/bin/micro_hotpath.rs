@@ -1,11 +1,12 @@
 //! Hot-path microbenchmarks for the engine overhaul, measuring the
 //! three quantities the overhaul targets:
 //!
-//! 1. **Event throughput** — the calendar queue against the retired
-//!    reference `BinaryHeap` (kept as a differential-test oracle) on a
-//!    deep-queue churn workload: 8,192 concurrently pending timers so
-//!    the heap pays its full `O(log n)` sift on every event while the
-//!    calendar queue stays amortized `O(1)`. The binary asserts the
+//! 1. **Event throughput** — the engine loop on a deep-queue churn
+//!    workload (131,072 concurrently pending timers), and the same
+//!    key stream with 48-byte payloads fed straight into the calendar
+//!    queue and into a reference `BinaryHeap`, where the heap pays its
+//!    full `O(log n)` sift on every event while the calendar queue
+//!    stays amortized `O(1)`. The binary asserts the queue-level
 //!    speedup in-process as a backstop; the recorded metrics feed the
 //!    `dws diff` CI gate.
 //! 2. **Allocations per event** — the steady-state allocation rate of a
@@ -21,9 +22,13 @@
 
 use dws_core::{run_experiment, ExperimentConfig, StealAmount, VictimPolicy, VictimSelector};
 use dws_metrics::perflab::{self, BenchMetric, BenchRecord, Polarity};
-use dws_simnet::{Actor, ConstantLatency, Ctx, DetRng, Rank, SimConfig, SimTime, Simulation};
+use dws_simnet::{
+    Actor, CalendarQueue, ConstantLatency, Ctx, DetRng, EvKey, Rank, SimConfig, SimTime, Simulation,
+};
 use dws_topology::{AllocationPolicy, Job, LatencyParams, Machine, RankMapping};
 use dws_uts::presets;
+use std::cmp::{Ordering as CmpOrdering, Reverse};
+use std::collections::BinaryHeap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,11 +58,11 @@ const LIMIT_NS: u64 = 2_000_000;
 const TRIALS: usize = 5;
 
 /// Message payload sized like the worker protocol's largest variant
-/// (`Msg::StealReply`: two ids plus a chunk vector, 48 bytes). The
-/// heap stores `Event<Msg>` inline and moves the whole event on every
-/// sift level; the calendar queue parks it in the arena and moves it
-/// exactly twice. The payload size is part of the workload even for
-/// timer events — `EventKind<M>` is an enum, so every event is as
+/// (`Msg::StealReply`: two ids plus a chunk vector, 48 bytes). A heap
+/// stores its payloads inline and moves them on every sift level; the
+/// calendar queue parks them in the arena and moves each exactly
+/// twice. The payload size is part of the workload even for timer
+/// events — the engine's event kind is an enum, so every event is as
 /// large as the largest message.
 type FatMsg = [u64; 6];
 
@@ -81,40 +86,126 @@ impl Actor for Churn {
     }
 }
 
-/// Run the churn workload once on the chosen queue; returns
+/// Master seed of the churn workload.
+fn churn_seed() -> u64 {
+    0x40_77A9 ^ trial_seed()
+}
+
+/// Run the churn workload once through the engine; returns
 /// `(events, wall_ns)` for the simulation loop only.
-fn churn_run(reference: bool) -> (u64, u64) {
+fn churn_run() -> (u64, u64) {
     let cfg = SimConfig {
-        seed: 0x40_77A9 ^ trial_seed(),
+        seed: churn_seed(),
         ..SimConfig::default()
     };
     let mut sim = Simulation::new(vec![Churn], ConstantLatency(100), cfg);
-    if reference {
-        sim.use_reference_queue();
-    }
     let wall = Instant::now();
     let report = sim.run_with_limits(Some(SimTime(LIMIT_NS)), None);
     let wall_ns = wall.elapsed().as_nanos() as u64;
     (report.events, wall_ns)
 }
 
+/// A pending-event set the queue-level churn can drive.
+trait ChurnQueue {
+    fn push(&mut self, key: EvKey, msg: FatMsg);
+    fn pop(&mut self) -> Option<(EvKey, FatMsg)>;
+}
+
+impl ChurnQueue for CalendarQueue<FatMsg> {
+    fn push(&mut self, key: EvKey, msg: FatMsg) {
+        CalendarQueue::push(self, key, msg);
+    }
+    fn pop(&mut self) -> Option<(EvKey, FatMsg)> {
+        CalendarQueue::pop(self)
+    }
+}
+
+/// Reference heap entry, ordered by its key alone.
+struct HeapEntry(EvKey, FatMsg);
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+impl Eq for HeapEntry {}
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> CmpOrdering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl ChurnQueue for BinaryHeap<Reverse<HeapEntry>> {
+    fn push(&mut self, key: EvKey, msg: FatMsg) {
+        BinaryHeap::push(self, Reverse(HeapEntry(key, msg)));
+    }
+    fn pop(&mut self) -> Option<(EvKey, FatMsg)> {
+        BinaryHeap::pop(self).map(|Reverse(HeapEntry(k, m))| (k, m))
+    }
+}
+
+/// Replay the engine churn's key stream on `q` alone: the same RNG
+/// draws as [`Churn`] (rank 0's actor stream), so the same keys in the
+/// same order. Returns `(events, wall_ns)`, the initial fill excluded.
+fn queue_churn(mut q: impl ChurnQueue) -> (u64, u64) {
+    let mut rng = DetRng::for_rank(churn_seed(), 0);
+    let key = |t, sseq| EvKey {
+        t,
+        dst: 0,
+        src: 0,
+        sseq,
+    };
+    for sseq in 0..PENDING {
+        q.push(key(1 + rng.next_below(SPREAD), sseq), [sseq; 6]);
+    }
+    let mut sseq = PENDING;
+    let mut events = 0;
+    let wall = Instant::now();
+    while let Some((k, msg)) = q.pop() {
+        if k.t > LIMIT_NS {
+            break;
+        }
+        events += 1;
+        q.push(key(k.t + 1 + rng.next_below(SPREAD), sseq), black_box(msg));
+        sseq += 1;
+    }
+    (events, wall.elapsed().as_nanos() as u64)
+}
+
 fn bench_queue_throughput(metrics: &mut Vec<BenchMetric>) {
     println!("-- event queue: {PENDING} pending timers, {LIMIT_NS} ns horizon --");
-    // Interleave the trials so load and frequency drift hit both
-    // queues evenly; report the best rate of each.
-    churn_run(false); // warm-up
-    churn_run(true);
+    // Interleave the trials so load and frequency drift hit every
+    // variant evenly; report the best rate of each.
+    churn_run(); // warm-up
+    let rate = |(ev, wall_ns): (u64, u64)| ev as f64 / (wall_ns as f64 / 1e9);
+    let mut engine = 0.0f64;
     let mut cal = 0.0f64;
     let mut heap = 0.0f64;
     let mut events = 0;
     for _ in 0..TRIALS {
-        let (ev, wall_ns) = churn_run(false);
-        cal = cal.max(ev as f64 / (wall_ns as f64 / 1e9));
-        events = ev;
-        let (ev, wall_ns) = churn_run(true);
-        heap = heap.max(ev as f64 / (wall_ns as f64 / 1e9));
+        let run = churn_run();
+        events = run.0;
+        engine = engine.max(rate(run));
+        let run = queue_churn(CalendarQueue::new());
+        assert_eq!(
+            run.0, events,
+            "queue-level churn must replay the engine's events"
+        );
+        cal = cal.max(rate(run));
+        let run = queue_churn(BinaryHeap::new());
+        assert_eq!(
+            run.0, events,
+            "queue-level churn must replay the engine's events"
+        );
+        heap = heap.max(rate(run));
     }
     let speedup = cal / heap;
+    println!("engine loop         {:>12.0} events/s", engine);
     println!("calendar queue      {:>12.0} events/s", cal);
     println!("reference heap      {:>12.0} events/s", heap);
     println!("speedup             {speedup:>12.2} x  ({events} events/run)");
@@ -127,7 +218,7 @@ fn bench_queue_throughput(metrics: &mut Vec<BenchMetric>) {
         "churn_events_per_sec_calendar",
         "events/s",
         Polarity::HigherIsBetter,
-        cal,
+        engine,
     ));
     metrics.push(BenchMetric::point(
         "churn_events_per_sec_reference_heap",

@@ -10,7 +10,7 @@ use dws_simnet::{
 };
 
 use dws_metrics::export::link_matrix_json;
-use dws_metrics::perflab::{self, BenchMetric, BenchRecord, MetricDelta, Verdict};
+use dws_metrics::perflab::{self, BenchMetric, BenchRecord, MetricDelta, Polarity, Verdict};
 use dws_metrics::{lifestory, render_table, write_csv, JsonValue, Summary};
 use dws_topology::routing::Link;
 use dws_topology::{Job, LatencyParams};
@@ -873,12 +873,60 @@ pub fn topo(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Render the engine self-profile of a run: per-phase wall time,
+/// Phases that run inside `dispatch` (actor callbacks): their time is
+/// already part of the dispatch row.
+const NESTED_PHASES: [&str; 3] = ["victim_draw", "fault_eval", "trace_record"];
+
+/// Rows of the `dws profile` phase table. Shares are of thread-time,
+/// wall × `threads`: every worker thread lives for the whole run. The
+/// nested phases are marked as inside dispatch, and an `unattributed`
+/// row holds thread-time minus the top-level phases (dispatch,
+/// barrier_wait, exchange), so the top-level shares sum to 100%.
+fn phase_rows(phases: &[(String, u64, u64)], wall_ns: u64, threads: u32) -> Vec<Vec<String>> {
+    let thread_ns = wall_ns.max(1) as f64 * threads.max(1) as f64;
+    let pct = |ns: f64| format!("{:.1}", 100.0 * ns / thread_ns);
+    let mut top_level_ns = 0.0;
+    let mut rows: Vec<Vec<String>> = phases
+        .iter()
+        .map(|(name, calls, total_ns)| {
+            let per_call = if *calls > 0 {
+                *total_ns as f64 / *calls as f64
+            } else {
+                0.0
+            };
+            let label = if NESTED_PHASES.contains(&name.as_str()) {
+                format!("  {name} (in dispatch)")
+            } else {
+                top_level_ns += *total_ns as f64;
+                name.clone()
+            };
+            vec![
+                label,
+                calls.to_string(),
+                format!("{:.2}", *total_ns as f64 / 1e6),
+                format!("{per_call:.0}"),
+                pct(*total_ns as f64),
+            ]
+        })
+        .collect();
+    let rest = thread_ns - top_level_ns;
+    rows.push(vec![
+        "unattributed".into(),
+        "-".into(),
+        format!("{:.2}", rest / 1e6),
+        "-".into(),
+        pct(rest),
+    ]);
+    rows
+}
+
+/// Render the engine self-profile of a run: per-phase thread-time,
 /// throughput, allocation rate, peak RSS. `threads` is the *resolved*
-/// worker count (after `--threads auto`), so the table is honest about
-/// what actually ran.
+/// worker count (after `--threads auto`); the engine runs at most one
+/// thread per shard, so the table is honest about what actually ran.
 fn print_profile(r: &ExperimentResult, threads: u32) {
     let p = r.profile.as_ref().expect("print_profile needs a profile");
+    let threads = threads.min(p.shards.len().max(1) as u32);
     println!();
     println!(
         "profile       : {:.1} ms wall, {} events, {:.0} events/s",
@@ -905,29 +953,11 @@ fn print_profile(r: &ExperimentResult, threads: u32) {
             p.peak_rss_bytes as f64 / (1024.0 * 1024.0)
         );
     }
-    let rows: Vec<Vec<String>> = p
-        .phases
-        .iter()
-        .map(|(name, calls, total_ns)| {
-            let per_call = if *calls > 0 {
-                *total_ns as f64 / *calls as f64
-            } else {
-                0.0
-            };
-            vec![
-                name.clone(),
-                calls.to_string(),
-                format!("{:.2}", *total_ns as f64 / 1e6),
-                format!("{per_call:.0}"),
-                format!("{:.1}", 100.0 * *total_ns as f64 / p.wall_ns.max(1) as f64),
-            ]
-        })
-        .collect();
     println!(
         "{}",
         render_table(
-            &["phase", "calls", "total ms", "ns/call", "% of wall"],
-            &rows
+            &["phase", "calls", "total ms", "ns/call", "% of thread-time"],
+            &phase_rows(&p.phases, p.wall_ns, threads)
         )
     );
     if !p.shards.is_empty() {
@@ -970,7 +1000,10 @@ pub fn profile(rest: &[String]) -> Result<(), String> {
     cfg.profile = true;
     // `--spans` turns the causal tracer on so the trace_record phase
     // measures real recording cost (off, the phase stays near zero).
-    cfg.collect_spans = flags.has("spans");
+    // `--json` does too, as it does for `dws run`: the report then
+    // carries the same metrics as `dws run --json`, so `dws diff`
+    // compares the two metric for metric.
+    cfg.collect_spans = flags.has("spans") || flags.get("json").is_some();
     eprintln!(
         "profiling {} on {} nodes ({} ranks), tree {}...",
         cfg.label(),
@@ -1071,8 +1104,9 @@ fn fmt_num(v: f64) -> String {
 }
 
 /// `dws diff <a> <b>` — per-metric deltas between two runs with a
-/// noise-aware verdict. Exits 2 when any metric regresses, so CI can
-/// gate on it.
+/// noise-aware verdict. Metrics present on only one side are listed by
+/// name. Exits 2 when any metric regresses or a gated metric of A is
+/// missing from B, so CI can gate on it.
 pub fn diff(rest: &[String]) -> Result<(), String> {
     let mut paths: Vec<&String> = Vec::new();
     let mut flag_args: Vec<String> = Vec::new();
@@ -1113,9 +1147,15 @@ pub fn diff(rest: &[String]) -> Result<(), String> {
     if deltas.is_empty() {
         return Err("the two artifacts share no metric names — nothing to compare".into());
     }
-    let skipped = a.metrics.len().max(b.metrics.len()) - deltas.len();
-    if skipped > 0 {
-        println!("({skipped} metrics present on only one side were skipped)");
+    let only_a = perflab::missing_from(&a.metrics, &b.metrics);
+    for (side, only) in [
+        ("A", &only_a),
+        ("B", &perflab::missing_from(&b.metrics, &a.metrics)),
+    ] {
+        if !only.is_empty() {
+            let names: Vec<&str> = only.iter().map(|m| m.name.as_str()).collect();
+            println!("skipped, only in {side}: {}", names.join(", "));
+        }
     }
     let rows: Vec<Vec<String>> = deltas
         .iter()
@@ -1145,7 +1185,11 @@ pub fn diff(rest: &[String]) -> Result<(), String> {
         .iter()
         .filter(|d| d.verdict == Verdict::Improvement)
         .count();
-    let overall = if regressions > 0 {
+    let lost = only_a
+        .iter()
+        .filter(|m| m.better != Polarity::Neutral)
+        .count();
+    let overall = if regressions > 0 || lost > 0 {
         "REGRESSION"
     } else if improvements > 0 {
         "improvement"
@@ -1154,11 +1198,11 @@ pub fn diff(rest: &[String]) -> Result<(), String> {
     };
     println!(
         "verdict: {overall} ({regressions} regressed, {improvements} improved, \
-         {} within noise, tol {tol})",
+         {} within noise, {lost} gated metrics of A missing from B, tol {tol})",
         deltas.len() - regressions - improvements
     );
-    if regressions > 0 {
-        // Exit 2 distinguishes "a metric regressed" from usage errors
+    if perflab::gate_fails(&a.metrics, &b.metrics, tol) {
+        // Exit 2 distinguishes "the gate failed" from usage errors
         // (exit 1), so CI can gate precisely.
         std::process::exit(2);
     }
@@ -1178,27 +1222,11 @@ pub fn top(rest: &[String]) -> Result<(), String> {
     let flags = parse(flag_rest, &["tail"], &[])?;
     let tail: usize = flags.parse_or("tail", usize::MAX)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut snaps: Vec<dws_metrics::Snapshot> = Vec::new();
-    let mut histograms: Option<JsonValue> = None;
-    let mut skipped = 0usize;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        match dws_metrics::export::parse(line)
-            .ok()
-            .and_then(|doc| dws_metrics::Snapshot::from_json(&doc).ok())
-        {
-            Some(snap) => snaps.push(snap),
-            // Flight dumps interleave header and event lines with the
-            // snapshot; anything non-snapshot is skipped, not fatal —
-            // except a run report, whose histograms we summarize.
-            None => match dws_metrics::export::parse(line)
-                .ok()
-                .and_then(|doc| doc.get("histograms").cloned())
-            {
-                Some(h) => histograms = Some(h),
-                None => skipped += 1,
-            },
-        }
-    }
+    let dws_metrics::StreamRead {
+        snapshots: snaps,
+        histograms,
+        other_lines: skipped,
+    } = dws_metrics::read_stream(&text);
     if snaps.is_empty() && histograms.is_none() {
         return Err(format!(
             "{path}: no well-formed snapshot lines (schema {}; {skipped} other lines)",
@@ -1341,4 +1369,42 @@ pub fn shmem(rest: &[String]) -> Result<(), String> {
         render_table(&["worker", "nodes", "steals", "failed"], &rows)
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn profile_shares_tile_thread_time() {
+        // A 2-thread run of 10 ms wall: 20 ms of thread-time, of which
+        // dispatch, barrier_wait and exchange account for 15 ms.
+        let phase = |name: &str, calls: u64, ms: u64| (name.to_string(), calls, ms * 1_000_000);
+        let phases = vec![
+            phase("dispatch", 1_000, 11),
+            phase("fault_eval", 10, 1),
+            phase("victim_draw", 100, 2),
+            phase("trace_record", 0, 0),
+            phase("barrier_wait", 50, 3),
+            phase("exchange", 50, 1),
+        ];
+        let rows = phase_rows(&phases, 10_000_000, 2);
+        let share = |row: &Vec<String>| row[4].parse::<f64>().unwrap();
+        let top: f64 = rows
+            .iter()
+            .filter(|r| !r[0].contains("(in dispatch)"))
+            .map(share)
+            .sum();
+        assert!((top - 100.0).abs() <= 0.1, "top-level shares sum to {top}");
+        assert_eq!(rows.len(), phases.len() + 1);
+        let last = rows.last().unwrap();
+        assert_eq!(last[0], "unattributed");
+        assert_eq!(share(last), 25.0);
+        assert_eq!(share(&rows[0]), 55.0, "dispatch is 11 of 20 ms");
+        for name in NESTED_PHASES {
+            assert!(rows
+                .iter()
+                .any(|r| r[0] == format!("  {name} (in dispatch)")));
+        }
+    }
 }

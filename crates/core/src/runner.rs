@@ -122,12 +122,6 @@ pub struct ExperimentConfig {
     /// excluded from the config fingerprint. Link-level networks keep
     /// global per-link state and silently run on one thread.
     pub threads: u32,
-    /// Differential-test hook: run on the reference binary-heap event
-    /// queue instead of the calendar queue. The two are required to
-    /// produce byte-identical schedules (a property test holds them to
-    /// it), so like `threads` this is excluded from the fingerprint.
-    #[doc(hidden)]
-    pub reference_queue: bool,
 }
 
 impl ExperimentConfig {
@@ -164,7 +158,6 @@ impl ExperimentConfig {
             fault_tolerance: None,
             profile: false,
             threads: 1,
-            reference_queue: false,
         }
     }
 
@@ -946,9 +939,6 @@ pub fn run_experiment_streamed(
         Box::new(PureNetwork(JobLatency(Arc::clone(&job))))
     };
     let mut sim: Simulation<Worker> = Simulation::with_network(workers, net, sim_cfg);
-    if cfg.reference_queue {
-        sim.use_reference_queue();
-    }
     // Always run windowed (even at one thread) with a node-aligned
     // shard map. The committed schedule is a pure function of the
     // configuration and is *independent of the shard decomposition*
@@ -982,7 +972,7 @@ pub fn run_experiment_streamed(
     // loop; both reads are no-ops for the simulated schedule.
     let allocs_before = probe.as_ref().map(|_| allocation_count());
     let wall_start = probe.as_ref().map(|_| Instant::now());
-    let report = sim.run_parallel_with_limits(cfg.max_sim_time_ns.map(SimTime), cfg.max_events);
+    let report = sim.run_with_limits(cfg.max_sim_time_ns.map(SimTime), cfg.max_events);
     let profile = probe.as_ref().map(|p| ProfileReport {
         wall_ns: wall_start
             .expect("wall_start set whenever probe is")

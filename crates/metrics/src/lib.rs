@@ -76,7 +76,8 @@ pub use report::{ascii_chart, render_table, write_csv, Perf};
 pub use span::{trace_id, SpanKind, SpanRecord, SpanTrace, Tracer};
 pub use steal_stats::{RunStats, StealStats};
 pub use streaming::{
-    OnlineAccounting, OnlineOccupancy, ShardSnap, Snapshot, SNAPSHOT_SCHEMA_VERSION,
+    read_stream, OnlineAccounting, OnlineOccupancy, ShardSnap, Snapshot, StreamRead,
+    SNAPSHOT_SCHEMA_VERSION,
 };
 pub use summary::Summary;
 pub use trace::{ActivityTrace, SortedTrace, Transition};

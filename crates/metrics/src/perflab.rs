@@ -429,7 +429,8 @@ pub fn verdict(a: &BenchMetric, b: &BenchMetric, tol: f64) -> MetricDelta {
 }
 
 /// Compare two metric sets by name (order follows `a`; metrics present
-/// on only one side are skipped — they carry no comparison).
+/// on only one side are skipped — they carry no comparison; list them
+/// with [`missing_from`]).
 pub fn compare(a: &[BenchMetric], b: &[BenchMetric], tol: f64) -> Vec<MetricDelta> {
     a.iter()
         .filter_map(|ma| {
@@ -440,9 +441,27 @@ pub fn compare(a: &[BenchMetric], b: &[BenchMetric], tol: f64) -> Vec<MetricDelt
         .collect()
 }
 
+/// The metrics of `a` that `b` lacks, in `a`'s order.
+pub fn missing_from<'m>(a: &'m [BenchMetric], b: &[BenchMetric]) -> Vec<&'m BenchMetric> {
+    a.iter()
+        .filter(|ma| !b.iter().any(|mb| mb.name == ma.name))
+        .collect()
+}
+
 /// True if any delta in `deltas` is a regression.
 pub fn any_regression(deltas: &[MetricDelta]) -> bool {
     deltas.iter().any(|d| d.verdict == Verdict::Regression)
+}
+
+/// True if comparing baseline `a` to candidate `b` must fail a gate:
+/// a metric regressed, or a gated (non-[`Polarity::Neutral`]) metric
+/// of `a` is missing from `b` — a gate that silently loses a metric
+/// stops guarding it.
+pub fn gate_fails(a: &[BenchMetric], b: &[BenchMetric], tol: f64) -> bool {
+    any_regression(&compare(a, b, tol))
+        || missing_from(a, b)
+            .iter()
+            .any(|m| m.better != Polarity::Neutral)
 }
 
 /// True if `doc` looks like a `dws run --json` run report (as opposed
@@ -678,6 +697,45 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_sided_metrics_are_listed_per_side_and_gated() {
+        let m = |name: &str, better| BenchMetric::point(name, "s", better, 1.0);
+        let a = vec![
+            m("shared", Polarity::LowerIsBetter),
+            m("a_gated", Polarity::HigherIsBetter),
+            m("a_neutral", Polarity::Neutral),
+        ];
+        let b = vec![
+            m("b_extra", Polarity::LowerIsBetter),
+            m("shared", Polarity::LowerIsBetter),
+            m("b_more", Polarity::Neutral),
+        ];
+        let names = |ms: Vec<&BenchMetric>| -> Vec<String> {
+            ms.into_iter().map(|m| m.name.clone()).collect()
+        };
+        // Both sides carry extras: one matched, two skipped on each side
+        // (the old `max(|A|, |B|) - matched` count said 2 in total).
+        assert_eq!(compare(&a, &b, 0.02).len(), 1);
+        assert_eq!(names(missing_from(&a, &b)), ["a_gated", "a_neutral"]);
+        assert_eq!(names(missing_from(&b, &a)), ["b_extra", "b_more"]);
+        // A gated metric of the baseline missing from the candidate fails
+        // the gate even though nothing regressed.
+        assert!(!any_regression(&compare(&a, &b, 0.02)));
+        assert!(gate_fails(&a, &b, 0.02));
+        // Neutral metrics may go missing; extras in B never fail.
+        let a_ok = vec![a[0].clone(), a[2].clone()];
+        assert!(!gate_fails(&a_ok, &b, 0.02));
+        // A regression still fails with nothing missing.
+        let worse = vec![BenchMetric::point(
+            "shared",
+            "s",
+            Polarity::LowerIsBetter,
+            2.0,
+        )];
+        assert!(gate_fails(&a_ok[..1], &worse, 0.02));
+        assert!(!gate_fails(&a_ok[..1], &a_ok[..1], 0.02));
+    }
 
     #[test]
     fn t_table_brackets_the_normal() {

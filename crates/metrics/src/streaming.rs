@@ -26,8 +26,8 @@
 //! last-drop marks per occupancy level. No event log survives a fold.
 //!
 //! The post-hoc path is deliberately kept alive as a *differential
-//! oracle* (like the engine's `reference_queue`): tests run both and
-//! assert element-identical results.
+//! oracle* (like the binary heap behind the calendar queue's tests):
+//! tests run both and assert element-identical results.
 //!
 //! Delivery-latency histograms and the per-pair traffic matrix are
 //! already maintained incrementally at send time by the network layer's
@@ -427,6 +427,41 @@ impl ShardSnap {
             wait_ns: field("wait_ns")?,
         })
     }
+}
+
+/// What [`read_stream`] found in a JSONL text.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StreamRead {
+    /// The well-formed snapshot lines, in order.
+    pub snapshots: Vec<Snapshot>,
+    /// The `histograms` section of the last run-report line, if any.
+    pub histograms: Option<JsonValue>,
+    /// Non-blank lines that are neither (flight-dump headers and
+    /// events, malformed lines).
+    pub other_lines: usize,
+}
+
+/// Read a snapshot stream, a flight dump or a run report line by line
+/// (the `dws top` reader). Each non-blank line is parsed once. Flight
+/// dumps interleave header and event lines with the snapshot, so a
+/// line that is neither a snapshot nor a run report is counted, not
+/// fatal.
+pub fn read_stream(text: &str) -> StreamRead {
+    let mut out = StreamRead::default();
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let Ok(doc) = crate::export::parse(line) else {
+            out.other_lines += 1;
+            continue;
+        };
+        if let Ok(snap) = Snapshot::from_json(&doc) {
+            out.snapshots.push(snap);
+        } else if let Some(h) = doc.get("histograms") {
+            out.histograms = Some(h.clone());
+        } else {
+            out.other_lines += 1;
+        }
+    }
+    out
 }
 
 /// One line of the snapshot JSONL stream: the run's vital signs at a

@@ -1,4 +1,4 @@
-//! Window barriers for the parallel driver.
+//! Window barriers for the engine driver's worker threads.
 //!
 //! The conservative-PDES driver meets one barrier per lookahead
 //! window, so barrier latency is a first-order cost once windows get

@@ -15,12 +15,13 @@
 //! **Determinism.** The queue is an *exact* priority queue, not an
 //! approximate one: every `pop` returns the minimum pending entry
 //! under the full canonical key, with ties between equal times broken
-//! by `(dst, src, sseq)` exactly as the heap broke them (keys are
-//! unique, so any exact priority queue yields the identical pop
+//! by `(dst, src, sseq)` exactly as a binary heap breaks them (keys
+//! are unique, so any exact priority queue yields the identical pop
 //! sequence). Buckets keep their entries sorted, so the schedule is a
 //! pure function of the push/pop history — bucket count and width are
-//! invisible. That is what lets the engine swap the heap for the
-//! calendar without perturbing a single simulated event.
+//! invisible. That is what let the engine replace its binary heap
+//! without perturbing a single simulated event; the heap survives as
+//! the oracle of this module's differential test.
 //!
 //! **Arena.** Bucket entries are small `Copy` records carrying the key
 //! plus a slot index into a payload arena; payloads (which may own
@@ -39,7 +40,7 @@
 /// lexicographically. `sseq` is unique per source rank, so keys never
 /// collide and the pop order is total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct EvKey {
+pub struct EvKey {
     /// Event time in nanoseconds.
     pub t: u64,
     /// Destination rank.
@@ -94,7 +95,7 @@ impl Bucket {
 }
 
 /// Exact-order calendar queue over payloads `P` (see module docs).
-pub(crate) struct CalendarQueue<P> {
+pub struct CalendarQueue<P> {
     /// Bucket ring.
     buckets: Vec<Bucket>,
     /// `buckets.len() - 1`; bucket count is a power of two.
@@ -125,8 +126,15 @@ const MIN_BUCKETS: usize = 16;
 /// latencies the simulations use, refined at the first resize.
 const INIT_WSHIFT: u32 = 10;
 
+impl<P> Default for CalendarQueue<P> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<P> CalendarQueue<P> {
-    pub(crate) fn new() -> Self {
+    /// An empty queue.
+    pub fn new() -> Self {
         Self {
             buckets: (0..MIN_BUCKETS).map(|_| Bucket::new()).collect(),
             mask: (MIN_BUCKETS - 1) as u64,
@@ -146,11 +154,18 @@ impl<P> CalendarQueue<P> {
     }
 
     /// Number of pending events.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    pub(crate) fn push(&mut self, key: EvKey, payload: P) {
+    /// True when nothing is pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Add `payload` under `key`, which must differ from every pending
+    /// key.
+    pub fn push(&mut self, key: EvKey, payload: P) {
         let idx = match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = Some(payload);
@@ -229,7 +244,7 @@ impl<P> CalendarQueue<P> {
 
     /// Time of the minimum pending entry, without removing it.
     #[inline]
-    pub(crate) fn peek_time_ns(&mut self) -> Option<u64> {
+    pub fn peek_time_ns(&mut self) -> Option<u64> {
         self.locate_min()?;
         Some(self.min_key.t)
     }
@@ -238,13 +253,13 @@ impl<P> CalendarQueue<P> {
     /// removing it. Used by the engine to merge-pop against the
     /// quiet-timer slots in canonical `(t, dst, src, sseq)` order.
     #[inline]
-    pub(crate) fn peek_key(&mut self) -> Option<EvKey> {
+    pub fn peek_key(&mut self) -> Option<EvKey> {
         self.locate_min()?;
         Some(self.min_key)
     }
 
     /// Remove and return the minimum pending entry.
-    pub(crate) fn pop(&mut self) -> Option<(EvKey, P)> {
+    pub fn pop(&mut self) -> Option<(EvKey, P)> {
         let b = self.locate_min()?;
         let bucket = &mut self.buckets[b];
         let e = bucket.v.pop().expect("located");
@@ -330,45 +345,178 @@ mod tests {
         assert_eq!(popped, sorted);
     }
 
-    #[test]
-    fn interleaved_push_pop_matches_a_reference_heap() {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut q = CalendarQueue::new();
-        let mut h: BinaryHeap<Reverse<EvKey>> = BinaryHeap::new();
-        // Deterministic pseudo-random workload with time drifting
-        // forward (as in the engine: pushes never precede the clock).
-        let mut x: u64 = 0x243F_6A88_85A3_08D3;
-        let mut now = 0u64;
-        let mut sseq = 0u64;
-        for step in 0..10_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let push = h.len() < 4 || (x % 100) < 55;
-            if push {
-                let k = key(
-                    now + x % 5_000,
-                    (x >> 8) as u32 % 64,
-                    (x >> 16) as u32 % 64,
-                    sseq,
-                );
-                sseq += 1;
-                q.push(k, step);
-                h.push(Reverse(k));
-            } else {
-                assert_eq!(q.peek_time_ns(), h.peek().map(|r| r.0.t));
-                let (a, _) = q.pop().expect("non-empty");
-                let b = h.pop().expect("non-empty").0;
-                assert_eq!(a, b, "divergence at step {step}");
-                now = a.t;
+    /// Seeded xorshift64 stream for the differential workloads.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+    }
+
+    /// Workload shapes for the differential test.
+    #[derive(Debug, Clone, Copy)]
+    enum Regime {
+        /// A handful of pending keys.
+        Shallow,
+        /// Growth past 100k pending, then a full drain: both the grow
+        /// and the shrink rehash fire.
+        GrowThenDrain,
+        /// Bursts of many keys at one timestamp.
+        Bursts,
+        /// Mostly near keys, with occasional jumps far into the future.
+        FarJumps,
+    }
+
+    /// The calendar queue and a reference binary heap, driven in
+    /// lockstep. Before every pop, `len`, `peek_time_ns` and `peek_key`
+    /// must agree with the heap; every pop must return the heap's key
+    /// together with the payload pushed under it.
+    struct Lockstep {
+        q: CalendarQueue<u64>,
+        h: std::collections::BinaryHeap<std::cmp::Reverse<(EvKey, u64)>>,
+        sseq: u64,
+        /// Time of the last pop: pushes never precede it, as in the
+        /// engine.
+        now: u64,
+        max_buckets: usize,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Self {
+                q: CalendarQueue::new(),
+                h: std::collections::BinaryHeap::new(),
+                sseq: 0,
+                now: 0,
+                max_buckets: 0,
             }
         }
-        while let Some(Reverse(b)) = h.pop() {
-            assert_eq!(q.pop().expect("non-empty").0, b);
+
+        fn push(&mut self, dt: u64, x: u64) {
+            let k = key(
+                self.now + dt,
+                (x >> 8) as u32 % 64,
+                (x >> 16) as u32 % 64,
+                self.sseq,
+            );
+            // The payload is a function of the key, so a payload that
+            // rode with the wrong key shows.
+            let payload = self.sseq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            self.sseq += 1;
+            self.q.push(k, payload);
+            self.h.push(std::cmp::Reverse((k, payload)));
+            self.max_buckets = self.max_buckets.max(self.q.buckets.len());
         }
-        assert_eq!(q.len(), 0);
-        assert!(q.pop().is_none());
+
+        fn pop(&mut self, what: &str) {
+            let expect = self.h.peek().map(|r| r.0);
+            assert_eq!(self.q.len(), self.h.len(), "{what}: len");
+            assert_eq!(self.q.is_empty(), self.h.is_empty(), "{what}: is_empty");
+            assert_eq!(
+                self.q.peek_time_ns(),
+                expect.map(|(k, _)| k.t),
+                "{what}: peek time"
+            );
+            assert_eq!(
+                self.q.peek_key(),
+                expect.map(|(k, _)| k),
+                "{what}: peek key"
+            );
+            let got = self.q.pop();
+            self.h.pop();
+            assert_eq!(got, expect, "{what}: pop");
+            if let Some((k, _)) = got {
+                self.now = k.t;
+            }
+        }
+
+        fn drain(&mut self, what: &str) {
+            while !self.h.is_empty() {
+                self.pop(what);
+            }
+            self.pop(what);
+            assert!(self.q.is_empty(), "{what}: drained");
+        }
+    }
+
+    fn run_regime(regime: Regime, seed: u64) -> Lockstep {
+        let mut rng = XorShift(seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1);
+        let mut ls = Lockstep::new();
+        let what = format!("{regime:?}, seed {seed:#x}");
+        match regime {
+            Regime::Shallow => {
+                for _ in 0..20_000 {
+                    let x = rng.next();
+                    if ls.h.len() < 2 || (ls.h.len() < 8 && x.is_multiple_of(2)) {
+                        ls.push(x % 3_000, x);
+                    } else {
+                        ls.pop(&what);
+                    }
+                }
+            }
+            Regime::GrowThenDrain => {
+                while ls.h.len() <= 100_000 {
+                    let x = rng.next();
+                    if x % 10 < 9 {
+                        ls.push(x % 1_000_000, x);
+                    } else {
+                        ls.pop(&what);
+                    }
+                }
+            }
+            Regime::Bursts => {
+                for _ in 0..200 {
+                    let x = rng.next();
+                    let dt = x % 10_000;
+                    for _ in 0..(50 + x % 500) {
+                        ls.push(dt, rng.next());
+                    }
+                    for _ in 0..(x >> 20) % 600 {
+                        ls.pop(&what);
+                    }
+                }
+            }
+            Regime::FarJumps => {
+                for _ in 0..20_000 {
+                    let x = rng.next();
+                    if ls.h.len() < 4 || x % 100 < 55 {
+                        let dt = if x.is_multiple_of(64) {
+                            (1 << 40) + x % (1 << 30)
+                        } else {
+                            x % 5_000
+                        };
+                        ls.push(dt, x);
+                    } else {
+                        ls.pop(&what);
+                    }
+                }
+            }
+        }
+        ls.drain(&what);
+        ls
+    }
+
+    #[test]
+    fn interleaved_push_pop_matches_a_reference_heap() {
+        let regimes = [
+            Regime::Shallow,
+            Regime::GrowThenDrain,
+            Regime::Bursts,
+            Regime::FarJumps,
+        ];
+        for regime in regimes {
+            for seed in [1u64, 0x243F_6A88_85A3_08D3, 0xD15_7EA1] {
+                let ls = run_regime(regime, seed);
+                if let Regime::GrowThenDrain = regime {
+                    assert!(ls.max_buckets >= 1 << 16, "grow rehash never fired");
+                    assert_eq!(ls.q.buckets.len(), MIN_BUCKETS, "shrink rehash never fired");
+                }
+            }
+        }
     }
 
     #[test]

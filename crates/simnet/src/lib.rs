@@ -45,8 +45,8 @@
 //!
 //! The engine can shard ranks across worker threads and advance time
 //! in conservative lookahead windows: [`Simulation::configure_parallel`]
-//! then [`Simulation::run_parallel`]. The schedule is bit-identical
-//! for any shard count, including one:
+//! then [`Simulation::run`], whose thread 0 is the calling thread. The
+//! schedule is bit-identical for any shard and thread count:
 //!
 //! ```
 //! use dws_simnet::{Actor, ConstantLatency, Ctx, ParallelConfig, Rank, SimConfig, Simulation};
@@ -74,7 +74,7 @@
 //!     );
 //!     // Lookahead = the minimum cross-shard latency (1_000 ns here).
 //!     sim.configure_parallel(ParallelConfig::new(threads, 1_000));
-//!     sim.run_parallel()
+//!     sim.run()
 //! };
 //! assert_eq!(run(1), run(2));
 //! ```
@@ -92,6 +92,9 @@ pub mod rng;
 pub mod time;
 
 pub use abort::{install_sigterm_hook, sigterm_requested, write_flight_dump};
+/// The engine's event queue, exposed for the queue-level benchmark.
+#[doc(hidden)]
+pub use calqueue::{CalendarQueue, EvKey};
 pub use engine::{
     Actor, ConstantLatency, Ctx, LatencyFn, LiveStats, NetworkModel, ParallelConfig, PureNetwork,
     Rank, RunReport, ShardProfile, SimConfig, Simulation, StreamingCfg,

@@ -7,8 +7,12 @@
 use dws::core::{run_experiment, ExperimentConfig, StealAmount, VictimPolicy};
 use dws::metrics::export::{chrome_trace, parse, MAX_NESTING};
 use dws::metrics::perflab::{self, BenchMetric, BenchRecord, Polarity, BENCH_SCHEMA_VERSION};
-use dws::metrics::{blame, JsonValue, ShardSnap, Snapshot, SpanTrace, SNAPSHOT_SCHEMA_VERSION};
-use dws::simnet::{Crash, DetRng, FaultPlan};
+use dws::metrics::{
+    blame, read_stream, JsonValue, ShardSnap, Snapshot, SpanTrace, SNAPSHOT_SCHEMA_VERSION,
+};
+use dws::simnet::{
+    write_flight_dump, Crash, DetRng, EventKind, EventRecord, FaultPlan, FlightRecorder, SimTime,
+};
 use dws::uts::presets;
 
 fn traced_config(ranks: u32) -> ExperimentConfig {
@@ -359,9 +363,11 @@ fn mutate(rng: &mut DetRng, base: &[u8]) -> String {
 
 /// Every artifact reader returns `Ok` or `Err` — never panics, never
 /// hangs — on byte-mutated input: a run report (parsed, then read by
-/// `dws diff` and `dws why`), a small Chrome trace, a bench trajectory
-/// and a snapshot line. The mutations run on a worker thread so a hang
-/// fails the test instead of stalling it.
+/// `dws diff` and `dws why`), a small Chrome trace, a bench trajectory,
+/// a snapshot line, and — through the `dws top` reader, line by line —
+/// a multi-line snapshot stream and a real flight dump. The mutations
+/// run on a worker thread so a hang fails the test instead of stalling
+/// it.
 #[test]
 fn artifact_readers_survive_byte_mutations() {
     const MUTATIONS: usize = 2_000;
@@ -388,7 +394,7 @@ fn artifact_readers_survive_byte_mutations() {
         ],
     };
     let trajectory = format!("{}\n{}\n", record.to_json(), record.to_json());
-    let snapshot = Snapshot {
+    let snap = Snapshot {
         schema: SNAPSHOT_SCHEMA_VERSION,
         seq: 3,
         n_ranks: 32,
@@ -412,20 +418,86 @@ fn artifact_readers_survive_byte_mutations() {
             busy_ns: 5_000,
             wait_ns: 100,
         }],
+    };
+    let snapshot = snap.to_json().to_string();
+    // A multi-line snapshot stream, as `dws run --snapshots` writes it.
+    let stream: String = (0..5)
+        .map(|seq| {
+            format!(
+                "{}\n",
+                Snapshot {
+                    seq,
+                    ..snap.clone()
+                }
+                .to_json()
+            )
+        })
+        .collect();
+    // A real flight dump: header, final snapshot, one ring event per
+    // record kind.
+    let ring = std::sync::Arc::new(FlightRecorder::new(16));
+    let kinds = [
+        EventKind::Sent {
+            from: 1,
+            to: 2,
+            bytes: 64,
+            deliver_at: SimTime(1_500),
+        },
+        EventKind::Delivered { from: 1, to: 2 },
+        EventKind::Timer { rank: 3, token: 7 },
+        EventKind::Dropped {
+            from: 2,
+            to: 0,
+            brownout: true,
+        },
+        EventKind::Partitioned { from: 0, to: 3 },
+        EventKind::Duplicated { from: 3, to: 1 },
+        EventKind::Delayed {
+            from: 1,
+            to: 0,
+            spike_ns: 900,
+        },
+        EventKind::CrashLost {
+            rank: 2,
+            timer: false,
+        },
+    ];
+    for (i, kind) in kinds.into_iter().enumerate() {
+        ring.record(&EventRecord {
+            at: SimTime(1_000 + i as u64),
+            kind,
+        });
     }
-    .to_json()
-    .to_string();
+    let dump_path =
+        std::env::temp_dir().join(format!("dws_fuzz_dump_{}.jsonl", std::process::id()));
+    write_flight_dump(&dump_path, "wall_budget", &[ring], Some(&snap)).expect("dump written");
+    let dump = std::fs::read_to_string(&dump_path).expect("dump readable");
+    let _ = std::fs::remove_file(&dump_path);
     // The unmutated artifacts read cleanly.
     let doc = parse(&report).expect("report parses");
     blame::verify_report(&doc).expect("report blame verifies");
     parse(&chrome).expect("chrome trace parses");
     assert_eq!(perflab::parse_trajectory(&trajectory).unwrap().len(), 2);
     Snapshot::from_json(&parse(&snapshot).unwrap()).expect("snapshot reads");
+    let read = read_stream(&stream);
+    assert_eq!(read.snapshots.len(), 5);
+    assert_eq!(read.other_lines, 0);
+    let read = read_stream(&dump);
+    assert_eq!(read.snapshots, vec![snap]);
+    assert_eq!(
+        read.other_lines,
+        1 + 8,
+        "header plus one line per ring event"
+    );
+    for line in dump.lines() {
+        parse(line).expect("every dump line is JSON");
+    }
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let mut rng = DetRng::new(0xF022_2026);
         let mut oks = 0usize;
+        let (mut lines_read, mut snapshots_kept) = (0usize, 0usize);
         for _ in 0..MUTATIONS {
             if let Ok(doc) = parse(&mutate(&mut rng, report.as_bytes())) {
                 perflab::metrics_from_run_report(&doc);
@@ -437,12 +509,27 @@ fn artifact_readers_survive_byte_mutations() {
             if let Ok(doc) = parse(&mutate(&mut rng, snapshot.as_bytes())) {
                 oks += Snapshot::from_json(&doc).is_ok() as usize;
             }
+            // The `dws top` reader takes every line of a stream or a
+            // dump; a mutation spoils at most a few of them.
+            for text in [&stream, &dump] {
+                let read = read_stream(&mutate(&mut rng, text.as_bytes()));
+                lines_read += read.snapshots.len() + read.other_lines;
+                snapshots_kept += read.snapshots.len();
+            }
         }
-        done_tx.send(oks).ok();
+        done_tx.send((oks, lines_read, snapshots_kept)).ok();
     });
-    let oks = done_rx
+    let (oks, lines_read, snapshots_kept) = done_rx
         .recv_timeout(std::time::Duration::from_secs(60))
         .expect("a reader panicked or hung on mutated input");
+    // Six snapshot lines per mutation round: mutations spoil some, and
+    // the lines they miss still read.
+    assert!(lines_read > 0);
+    assert!(
+        snapshots_kept > 0 && snapshots_kept < 6 * MUTATIONS,
+        "{snapshots_kept} of {} snapshots survived",
+        6 * MUTATIONS
+    );
     // Some mutations are harmless (a digit flipped inside a number);
     // most must be refused.
     assert!(
